@@ -76,6 +76,7 @@ from repro.robust.budget import Budget
 from repro.robust.checkpoint import CheckpointError
 from repro.robust.confidence import Confidence, exit_code
 from repro.semantics.events import EVENT_DONE, format_trace
+from repro.semantics.exploration import ExplorationSession
 from repro.semantics.promises import SyntacticPromises
 from repro.semantics.random_run import random_run
 from repro.semantics.thread import SemanticsConfig
@@ -303,9 +304,10 @@ def _races_file_case(
         witnesses = ladder.rw.witnesses
     else:
         check = ww_nprf if np else ww_rf
-        report = check(program, config)
+        session = ExplorationSession(config)
+        report = check(program, config, session)
         lines.append(f"ww-RF: {report}")
-        witnesses = rw_races(program, config)
+        witnesses = rw_races(program, config, session=session)
     if witnesses:
         lines.append("read-write races:")
         for witness in witnesses:

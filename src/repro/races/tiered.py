@@ -33,21 +33,15 @@ two-tier ww entry points; ``rw_races_tiered`` is the rw counterpart and
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.lang.syntax import Program
 from repro.races.ladder import TierOutcome, format_tiers
-from repro.races.rwrace import RwRaceWitness, rw_race_witness
-from repro.races.wwrf import (
-    RaceReport,
-    graph_scan_config,
-    ww_nprf,
-    ww_race_witness,
-    ww_rf,
-)
+from repro.races.rwrace import RwRaceWitness, rw_race_witnesses
+from repro.races.wwrf import RaceReport, ww_nprf, ww_rf
 from repro.robust.confidence import Confidence
-from repro.semantics.exploration import Explorer
+from repro.semantics.exploration import ExplorationSession
 from repro.semantics.thread import SemanticsConfig
 from repro.static.rwraces import StaticRwReport, analyze_rw_races
 from repro.static.wwraces import StaticRaceReport, analyze_ww_races
@@ -90,25 +84,33 @@ class RwReport:
         return f"RwReport({verdict}, {self.state_count} states, {kind})"
 
 
-def _scan_rw(program: Program, explorer: Explorer) -> Tuple[RwRaceWitness, ...]:
-    """All distinct (tid, loc) rw-race witnesses over a built explorer."""
-    seen = set()
-    witnesses: List[RwRaceWitness] = []
-    for state in explorer.states:
-        witness = rw_race_witness(program, state)
-        if witness is not None and (witness.tid, witness.loc) not in seen:
-            seen.add((witness.tid, witness.loc))
-            witnesses.append(witness)
-    return tuple(witnesses)
+def _scan_rw(
+    program: Program, session: ExplorationSession, nonpreemptive: bool
+) -> RwReport:
+    """The exhaustive rw census over the session's scan graph."""
+    explorer = session.scan_graph(program, nonpreemptive)
+    witnesses = rw_race_witnesses(program, explorer)
+    return RwReport(
+        race_free=not witnesses,
+        witnesses=witnesses,
+        exhaustive=explorer.exhaustive,
+        state_count=len(explorer.states),
+        method="exhaustive",
+        stop_reason=explorer.stop_reason,
+        downgrade=session.scan_downgrade,
+    )
 
 
 def ww_rf_tiered(
     program: Program,
     config: Optional[SemanticsConfig] = None,
     nonpreemptive: bool = False,
+    session: Optional[ExplorationSession] = None,
 ) -> RaceReport:
-    """``ww-RF(P)`` via the static tier, falling back to exploration."""
-    report, _ = ww_rf_tiered_with_static(program, config, nonpreemptive)
+    """``ww-RF(P)`` via the static tier, falling back to exploration.  A
+    ``session`` (whose config then applies) keeps the fallback's graph for
+    the caller's other checks."""
+    report, _ = ww_rf_tiered_with_static(program, config, nonpreemptive, session)
     return report
 
 
@@ -116,6 +118,7 @@ def ww_rf_tiered_with_static(
     program: Program,
     config: Optional[SemanticsConfig] = None,
     nonpreemptive: bool = False,
+    session: Optional[ExplorationSession] = None,
 ) -> Tuple[RaceReport, StaticRaceReport]:
     """As :func:`ww_rf_tiered`, also returning the static tier's report
     (for diagnostics: witnesses of why the fallback was needed)."""
@@ -130,15 +133,17 @@ def ww_rf_tiered_with_static(
         )
         return report, static
     check = ww_nprf if nonpreemptive else ww_rf
-    return replace(check(program, config), method="exhaustive"), static
+    return check(program, config, session), static
 
 
 def rw_races_tiered(
     program: Program,
     config: Optional[SemanticsConfig] = None,
     nonpreemptive: bool = False,
+    session: Optional[ExplorationSession] = None,
 ) -> Tuple[RwReport, StaticRwReport]:
-    """rw-race detection via the static tier, falling back to exploration.
+    """rw-race detection via the static tier, falling back to exploration
+    (through ``session`` when given, as for :func:`ww_rf_tiered`).
 
     Returns the dynamic-shaped report and the static tier's own report
     (whose witnesses explain any fallback)."""
@@ -152,21 +157,8 @@ def rw_races_tiered(
             method="static",
         )
         return report, static
-    scan_config, downgrade = graph_scan_config(config or SemanticsConfig())
-    explorer = Explorer(
-        program, scan_config, nonpreemptive=nonpreemptive
-    ).build()
-    witnesses = _scan_rw(program, explorer)
-    report = RwReport(
-        race_free=not witnesses,
-        witnesses=witnesses,
-        exhaustive=explorer.exhaustive,
-        state_count=len(explorer.states),
-        method="exhaustive",
-        stop_reason=explorer.stop_reason,
-        downgrade=downgrade,
-    )
-    return report, static
+    session = session or ExplorationSession(config)
+    return _scan_rw(program, session, nonpreemptive), static
 
 
 @dataclass(frozen=True)
@@ -223,37 +215,13 @@ def check_races_tiered(
         ww_report = RaceReport(True, None, True, 0, method="static")
     if rw_report is None or ww_report is None:
         started = time.perf_counter()
-        scan_config, downgrade = graph_scan_config(config or SemanticsConfig())
-        explorer = Explorer(
-            program, scan_config, nonpreemptive=nonpreemptive
-        ).build()
-        count = len(explorer.states)
+        session = ExplorationSession(config)
         if ww_report is None:
-            witness = None
-            for state in explorer.states:
-                witness = ww_race_witness(program, state)
-                if witness is not None:
-                    break
-            ww_report = RaceReport(
-                race_free=witness is None,
-                witness=witness,
-                exhaustive=explorer.exhaustive,
-                state_count=count,
-                method="exhaustive",
-                stop_reason=explorer.stop_reason,
-                downgrade=downgrade,
-            )
+            check = ww_nprf if nonpreemptive else ww_rf
+            ww_report = check(program, config, session)
         if rw_report is None:
-            witnesses = _scan_rw(program, explorer)
-            rw_report = RwReport(
-                race_free=not witnesses,
-                witnesses=witnesses,
-                exhaustive=explorer.exhaustive,
-                state_count=count,
-                method="exhaustive",
-                stop_reason=explorer.stop_reason,
-                downgrade=downgrade,
-            )
+            rw_report = _scan_rw(program, session, nonpreemptive)
+        count = len(session.scan_graph(program, nonpreemptive).states)
         tiers.append(TierOutcome(
             "exploration",
             time.perf_counter() - started,

@@ -25,14 +25,14 @@ validates on the litmus suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as _dc_replace
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.lang.syntax import AccessMode, Program, Store
 from repro.memory.memory import Memory
 from repro.memory.timestamps import TS_ZERO
 from repro.robust.confidence import Confidence
-from repro.semantics.exploration import Explorer
+from repro.semantics.exploration import ExplorationSession
 from repro.semantics.thread import SemanticsConfig
 from repro.semantics.threadstate import ThreadState, next_op
 
@@ -123,58 +123,42 @@ def ww_race_witness(program: Program, state) -> Optional[WwRaceWitness]:
     return WwRaceWitness(tid, loc, state)
 
 
-def graph_scan_config(
-    config: SemanticsConfig,
-) -> Tuple[SemanticsConfig, Optional[str]]:
-    """The exploration config a state-graph-scanning detector should use,
-    plus the downgrade reason when the request could not be honored.
-
-    The race predicates above inspect *every* reachable (state,
-    current-thread) pair; DPOR deliberately prunes interleavings whose
-    behaviors are equivalent, so the pre-step state exposing a race can
-    be absent from the reduced graph.  Local-step fusion is safe here —
-    the states it elides have a pure-local next operation for the
-    current thread, which no race predicate matches — so ``por="dpor"``
-    downgrades to fused BFS, reported as ``"state-graph-scan"``."""
-    if config.por == "dpor":
-        return (
-            _dc_replace(config, por="fusion", fuse_local_steps=True),
-            "state-graph-scan",
-        )
-    return config, None
-
-
-def _check(program: Program, config: SemanticsConfig, nonpreemptive: bool) -> RaceReport:
-    config, downgrade = graph_scan_config(config)
-    explorer = Explorer(program, config, nonpreemptive=nonpreemptive).build()
-    for state in explorer.states:
-        witness = ww_race_witness(program, state)
-        if witness is not None:
-            return RaceReport(
-                False,
-                witness,
-                explorer.exhaustive,
-                len(explorer.states),
-                stop_reason=explorer.stop_reason,
-                downgrade=downgrade,
-            )
+def _check(
+    program: Program,
+    config: Optional[SemanticsConfig],
+    nonpreemptive: bool,
+    session: Optional[ExplorationSession],
+) -> RaceReport:
+    session = session or ExplorationSession(config)
+    explorer = session.scan_graph(program, nonpreemptive)
+    found = (ww_race_witness(program, state) for state in explorer.states)
+    witness = next((w for w in found if w is not None), None)
     return RaceReport(
-        True,
-        None,
+        witness is None,
+        witness,
         explorer.exhaustive,
         len(explorer.states),
         stop_reason=explorer.stop_reason,
-        downgrade=downgrade,
+        downgrade=session.scan_downgrade,
     )
 
 
-def ww_rf(program: Program, config: Optional[SemanticsConfig] = None) -> RaceReport:
+def ww_rf(
+    program: Program,
+    config: Optional[SemanticsConfig] = None,
+    session: Optional[ExplorationSession] = None,
+) -> RaceReport:
     """``ww-RF(P)`` — write-write race freedom under the interleaving
-    machine (Fig. 11)."""
-    return _check(program, config or SemanticsConfig(), nonpreemptive=False)
+    machine (Fig. 11).  A ``session`` (whose config then applies) shares
+    the scanned graph with the caller's other checks."""
+    return _check(program, config, False, session)
 
 
-def ww_nprf(program: Program, config: Optional[SemanticsConfig] = None) -> RaceReport:
+def ww_nprf(
+    program: Program,
+    config: Optional[SemanticsConfig] = None,
+    session: Optional[ExplorationSession] = None,
+) -> RaceReport:
     """``ww-NPRF(P̂)`` — write-write race freedom under the non-preemptive
     machine (paper Sec. 5, Lemma 5.1)."""
-    return _check(program, config or SemanticsConfig(), nonpreemptive=True)
+    return _check(program, config, True, session)

@@ -211,9 +211,9 @@ def validate_with_degradation(
     the policy's budget first; if every sub-check completed the report is
     returned unchanged (``PROVED``).  Otherwise refinement is re-decided
     over :func:`explore_with_degradation` behavior sets for source and
-    target, and the report's confidence is the weakest rung involved —
-    the constructor invariant of
-    :class:`~repro.sim.validate.ValidationReport` guarantees it cannot
+    target (an unchanged target reuses the source's), and the report's
+    confidence is the weakest rung involved — the constructor invariant
+    of :class:`~repro.sim.validate.ValidationReport` guarantees it cannot
     read ``PROVED``.
     """
     from repro.sim.refinement import RefinementResult
@@ -221,19 +221,24 @@ def validate_with_degradation(
 
     config = config or SemanticsConfig()
     governed = replace(config, budget=policy.budget)
+    target = optimizer.run(source)
     report = validate_optimizer(
         optimizer,
         source,
         governed,
         check_target_wwrf=check_target_wwrf,
         static_tier=static_tier,
+        target=target,
     )
     if report.exhaustive or policy.budget is None:
         return report
 
-    target = optimizer.run(source)
-    degraded_target = explore_with_degradation(target, config, policy)
     degraded_source = explore_with_degradation(source, config, policy)
+    degraded_target = (
+        explore_with_degradation(target, config, policy)
+        if report.changed
+        else degraded_source
+    )
     extra = degraded_target.behaviors.traces - degraded_source.behaviors.traces
     counterexample = (
         min(extra, key=lambda t: (len(t), str(t))) if extra else None

@@ -186,6 +186,7 @@ class Supervisor:
             "retries": 0,
             "worker_crashes": 0,
             "quarantined_jobs": 0,
+            "explorations": 0,
         }
 
     # -- quarantine bookkeeping ----------------------------------------------
@@ -324,6 +325,9 @@ class Supervisor:
             # Structured POR-fallback accounting: surfaces in /metrics as
             # e.g. ``downgrade:state-graph-scan``.
             self._bump(f"downgrade:{downgrade}")
+        # State graphs the job built (validate/races): one per distinct
+        # program and machine, so reuse shows as a lower count per job.
+        self._bump("explorations", verdict.get("explorations", 0))
         if (
             self.store is not None
             and rung == RUNG_EXHAUSTIVE
@@ -468,7 +472,7 @@ def _execute_validate(
     optimizer = _optimizer(options.get("opt", "pipeline"))
     # DPOR by default: refinement compares behavior *sets*, which DPOR
     # preserves; the embedded race checks downgrade themselves (see
-    # repro.races.wwrf.graph_scan_config) and report it below.
+    # repro.semantics.exploration.graph_scan_config) and report it below.
     config = SemanticsConfig(budget=budget, por="dpor")
     if rung == RUNG_SAMPLED:
         target = optimizer.run(program)
@@ -476,7 +480,7 @@ def _execute_validate(
             program, None, runs=sample_runs, max_steps=sample_max_steps,
             deadline_seconds=budget.deadline_seconds,
         )
-        tgt = sampled_behaviors(
+        tgt = src if target == program else sampled_behaviors(
             target, None, runs=sample_runs, max_steps=sample_max_steps,
             deadline_seconds=budget.deadline_seconds,
         )
@@ -506,6 +510,7 @@ def _execute_validate(
         "confidence": str(report.confidence),
         "detail": str(report),
         "downgrade_reason": report.source_wwrf.downgrade,
+        "explorations": report.explorations,
     }
 
 
@@ -542,6 +547,7 @@ def _execute_races(source, options, rung, budget, bounded_max_states) -> Dict[st
         }
     from repro.races.rwrace import rw_races
     from repro.races.wwrf import ww_nprf, ww_rf
+    from repro.semantics.exploration import ExplorationSession
 
     # The race checkers downgrade dpor themselves (state-graph scans need
     # every reachable state) and record the reason on the report.
@@ -551,8 +557,9 @@ def _execute_races(source, options, rung, budget, bounded_max_states) -> Dict[st
             config, max_states=min(config.max_states, bounded_max_states)
         )
     check = ww_nprf if nonpreemptive else ww_rf
-    report = check(program, config)
-    rw = rw_races(program, config)
+    session = ExplorationSession(config)
+    report = check(program, config, session)
+    rw = rw_races(program, config, session=session)
     detail = f"ww-RF: {report}; rw-races: {len(rw) or 'none'}"
     return {
         "ok": report.race_free,
@@ -560,6 +567,7 @@ def _execute_races(source, options, rung, budget, bounded_max_states) -> Dict[st
         "confidence": str(report.confidence),
         "detail": detail,
         "downgrade_reason": report.downgrade,
+        "explorations": session.explorations,
     }
 
 

@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 from repro.lang.syntax import Program
 from repro.semantics.events import Trace, format_trace
-from repro.semantics.exploration import BehaviorSet, behaviors, np_behaviors
+from repro.semantics.exploration import BehaviorSet, ExplorationSession
 from repro.semantics.thread import SemanticsConfig
 
 
@@ -55,15 +55,19 @@ def check_refinement(
     target: Program,
     config: Optional[SemanticsConfig] = None,
     nonpreemptive: bool = False,
+    session: Optional[ExplorationSession] = None,
 ) -> RefinementResult:
     """Decide ``target ⊆ source`` under the chosen machine.
 
     Note the argument order follows the paper's reading direction — the
-    *source* program is the specification the target must refine.
+    *source* program is the specification the target must refine.  The
+    behavior sets come from ``session`` (whose config then applies), so a
+    target equal to its source is explored once, and a program the caller
+    already scanned for races is not explored again.
     """
-    explore = np_behaviors if nonpreemptive else behaviors
-    target_behaviors = explore(target, config)
-    source_behaviors = explore(source, config)
+    session = session or ExplorationSession(config)
+    target_behaviors = session.behaviors(target, nonpreemptive)
+    source_behaviors = session.behaviors(source, nonpreemptive)
     return _compare(target_behaviors, source_behaviors)
 
 
@@ -74,9 +78,9 @@ def check_equivalence(
     nonpreemptive: bool = False,
 ) -> Tuple[RefinementResult, RefinementResult]:
     """Decide ``P ≈ P'`` as a pair of refinements (forward, backward)."""
-    explore = np_behaviors if nonpreemptive else behaviors
-    target_behaviors = explore(target, config)
-    source_behaviors = explore(source, config)
+    session = ExplorationSession(config)
+    target_behaviors = session.behaviors(target, nonpreemptive)
+    source_behaviors = session.behaviors(source, nonpreemptive)
     return (
         _compare(target_behaviors, source_behaviors),
         _compare(source_behaviors, target_behaviors),

@@ -37,6 +37,7 @@ from repro.races.ladder import TierOutcome, format_tiers
 from repro.races.tiered import RwReport, rw_races_tiered, ww_rf_tiered
 from repro.races.wwrf import RaceReport, ww_rf
 from repro.robust.confidence import Confidence, derive_confidence
+from repro.semantics.exploration import ExplorationSession
 from repro.semantics.thread import SemanticsConfig
 from repro.sim.refinement import RefinementResult, check_refinement
 
@@ -70,6 +71,10 @@ class ValidationReport:
     #: exactly Fig. 5's LInv phenomenon, surfaced by :meth:`introduced_rw`.
     source_rw: Optional[RwReport] = None
     target_rw: Optional[RwReport] = None
+    #: State graphs the validation built (``None`` for reports assembled
+    #: elsewhere): at most one per distinct program and machine, so 1 for
+    #: an unchanged target whose race checks the static tier discharged.
+    explorations: Optional[int] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -141,6 +146,7 @@ def validate_optimizer(
     nonpreemptive: bool = False,
     static_tier: bool = True,
     report_rw: bool = False,
+    target: Optional[Program] = None,
 ) -> ValidationReport:
     """Validate one optimizer run: refinement + ww-RF preservation.
 
@@ -150,29 +156,42 @@ def validate_optimizer(
     additionally runs the tiered rw-race census on source and target
     (:func:`repro.races.rw_races_tiered` — static tier first), attaching
     the reports for diagnostics; rw-races never affect the verdict.
+    ``target`` is the optimizer's output when the caller already ran it.
+
+    Each distinct program is explored at most once per machine (one
+    :class:`~repro.semantics.exploration.ExplorationSession`): the race
+    checks run first, refinement then reuses their scan graphs, and a
+    target equal to its source reuses every source verdict.
     """
     config = config or SemanticsConfig()
-    target = optimizer.run(source)
+    if target is None:
+        target = optimizer.run(source)
     if target.atomics != source.atomics:
         raise AssertionError(f"{optimizer.name} changed the atomics set ι")
+    changed = target != source
+    session = ExplorationSession(config)
     check = ww_rf_tiered if static_tier else ww_rf
-    source_wwrf = check(source, config)
-    refinement = check_refinement(source, target, config, nonpreemptive=nonpreemptive)
+    source_wwrf = check(source, config, session=session)
     target_wwrf = None
     if check_target_wwrf and source_wwrf.race_free:
-        target_wwrf = check(target, config)
+        target_wwrf = check(target, config, session=session) if changed else source_wwrf
     source_rw = target_rw = None
     if report_rw:
-        source_rw, _ = rw_races_tiered(source, config, nonpreemptive=nonpreemptive)
-        target_rw, _ = rw_races_tiered(target, config, nonpreemptive=nonpreemptive)
+        source_rw, _ = rw_races_tiered(source, config, nonpreemptive, session)
+        if changed:
+            target_rw, _ = rw_races_tiered(target, config, nonpreemptive, session)
+        else:
+            target_rw = source_rw
+    refinement = check_refinement(source, target, config, nonpreemptive, session)
     return ValidationReport(
         optimizer=optimizer.name,
         refinement=refinement,
         source_wwrf=source_wwrf,
         target_wwrf=target_wwrf,
-        changed=target != source,
+        changed=changed,
         source_rw=source_rw,
         target_rw=target_rw,
+        explorations=session.explorations,
     )
 
 
@@ -293,12 +312,14 @@ def validate_tiered(
         check_target_wwrf=check_target_wwrf,
         nonpreemptive=nonpreemptive,
         report_rw=report_rw,
+        target=target,
     )
     tiers.append(TierOutcome(
         "exploration",
         time.perf_counter() - started,
         True,
-        f"{len(report.refinement.target_behaviors.traces)} target behaviors",
+        f"{len(report.refinement.target_behaviors.traces)} target behaviors, "
+        f"{report.explorations} state graph(s)",
     ))
     return TieredValidationReport(
         optimizer.name, certificate, report, changed, tuple(tiers)

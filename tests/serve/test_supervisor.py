@@ -101,6 +101,14 @@ class TestHappyPath:
         assert result.ok is True
         assert result.confidence == "PROVED"
 
+    def test_explorations_are_counted_once_per_program(self):
+        supervisor = Supervisor(config=FAST)
+        # dce leaves SB unchanged: one exploration serves both sides.
+        supervisor.run_job(spec(kind="validate", source=SB, opt="dce"))
+        # The ww and rw scans read one graph.
+        supervisor.run_job(spec(kind="races", source=SB))
+        assert supervisor.stats()["explorations"] == 2
+
     def test_parse_error_is_unanswered_not_a_crash(self):
         result = Supervisor(config=FAST).run_job(spec(source="not a program ^"))
         assert result.ok is None
