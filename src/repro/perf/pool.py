@@ -6,13 +6,10 @@ generated corpus, the benchmark harness — reduces to the same shape: a
 list of independent *(name, function, args)* jobs whose results are folded
 deterministically.  :func:`run_sweep` is that shape, once:
 
-* ``jobs_n <= 1`` runs serially in-process (the default — no
-  multiprocessing import-time cost, identical behavior to the historical
-  code path);
-* ``jobs_n > 1`` fans jobs across fork-context worker processes (the
-  same isolation primitive as :mod:`repro.robust.isolation`: fork keeps
-  the already-imported interpreter, so workers start in milliseconds and
-  share the monotonic clock with the parent).
+* ``jobs_n <= 1`` runs serially in-process (the default);
+* ``jobs_n > 1`` fans jobs across long-lived
+  :class:`~repro.robust.isolation.ForkWorker` processes — the same
+  governed child the corpus drivers and the service supervisor use.
 
 Determinism: the scheduler is *order-free* by construction.  Outcomes
 arrive in completion order and are sorted by job name, so serial and
@@ -20,17 +17,13 @@ parallel sweeps produce byte-identical reports — a Hypothesis property
 test (``tests/perf/test_pool.py``) checks verdicts and behavior digests
 match across ``jobs_n`` values.
 
-Worker death: the original implementation sat on
-``multiprocessing.Pool.imap_unordered``, which **hangs forever** if a
-worker is SIGKILLed mid-job (the pool restarts the worker but the job's
-result never arrives).  The scheduler now supervises its own workers: the
-parent multiplexes result pipes *and* process sentinels, so a worker
-dying for any reason — OOM killer, segfault, chaos injection — is
-detected immediately, its in-flight job is recorded as a failed
-:class:`SweepOutcome` with ``stop_reason="worker_crashed"``, the zombie
-is reaped (``join``), and a replacement worker is spawned for the
-remaining jobs (bounded by ``max_respawns`` so a poison job cannot spawn
-workers forever).  One murdered worker costs exactly one job.
+Worker death: a worker dying for any reason — OOM killer, segfault,
+chaos injection — is detected at once (the parent waits on result pipes
+*and* process sentinels).  Its in-flight job is recorded as a failed
+:class:`SweepOutcome` with ``stop_reason="worker_crashed"`` and a
+replacement worker is forked for the remaining jobs, at most one
+replacement per job, so a sweep of poison programs still terminates.
+One murdered worker costs exactly one job.
 
 Budgets: a sweep-level :class:`~repro.robust.budget.Budget` deadline means
 wall clock *for the whole sweep*.  The parent computes the absolute
@@ -44,20 +37,20 @@ Failure isolation: a job that raises records a failed
 :class:`SweepOutcome` carrying the formatted error; one crashing program
 never takes down the sweep (mirroring ``robust/isolation.py``'s policy).
 Job functions must be module-level callables — workers receive them over
-a pipe even under fork.
+a pipe.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.robust import chaos
 from repro.robust.budget import Budget, BudgetExhausted
 from repro.robust.confidence import Confidence
+from repro.robust.isolation import STATUS_CRASHED, STATUS_OK, STATUS_OOM, ForkWorker
 
 #: ``SweepOutcome.stop_reason`` for a job lost to a dying worker process.
 STOP_WORKER_CRASHED = "worker_crashed"
@@ -166,13 +159,7 @@ def _run_job(
                     elapsed_seconds=0.0,
                     stop_reason="deadline",
                 )
-        kwargs["budget"] = Budget(
-            deadline_seconds=remaining,
-            max_states=budget.max_states,
-            memory_mb=budget.memory_mb,
-            memory_check_interval=budget.memory_check_interval,
-            trace_memory=budget.trace_memory,
-        )
+        kwargs["budget"] = replace(budget, deadline_seconds=remaining)
     try:
         value = job.fn(*job.args, **kwargs)
         return SweepOutcome(
@@ -198,96 +185,20 @@ def _run_job(
         )
 
 
-def _worker_loop(conn: Any) -> None:
-    """Worker-process main: run jobs off the pipe until told to stop.
+def _worker_job(
+    job: SweepJob, deadline_at: Optional[float], budget: Optional[Budget]
+) -> SweepOutcome:
+    """Worker-side entry point for one job.
 
-    Protocol: parent sends ``(seq, job, deadline_at, budget)`` tuples and
-    finally ``None``; the worker answers ``(seq, outcome)``.  The chaos
-    fault point sits *before* the job runs, modeling a worker murdered
-    mid-job (OOM killer, segfault in a C extension, operator SIGKILL).
+    The chaos fault point sits *before* the job runs, modeling a worker
+    murdered mid-job (OOM killer, segfault in a C extension, operator
+    SIGKILL).
     """
-    while True:
-        try:
-            item = conn.recv()
-        except (EOFError, OSError):
-            return
-        if item is None:
-            return
-        seq, job, deadline_at, budget = item
-        chaos.fault_point("pool.worker", job.name)
-        outcome = _run_job(job, deadline_at, budget)
-        try:
-            conn.send((seq, outcome))
-        except (BrokenPipeError, OSError):  # parent went away
-            return
+    chaos.fault_point("pool.worker", job.name)
+    return _run_job(job, deadline_at, budget)
 
 
-class _Worker:
-    """Parent-side handle on one supervised worker process."""
-
-    def __init__(self, ctx: Any) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        self.conn = parent_conn
-        self.process = ctx.Process(
-            target=_worker_loop, args=(child_conn,), daemon=True
-        )
-        self.process.start()
-        child_conn.close()
-        self.current: Optional[int] = None  # seq of the in-flight job
-
-    @property
-    def sentinel(self) -> int:
-        return self.process.sentinel
-
-    def dispatch(self, seq: int, payload: Tuple[Any, ...]) -> bool:
-        """Hand the worker a job; False if the pipe is already dead."""
-        try:
-            self.conn.send(payload)
-        except (BrokenPipeError, OSError):
-            return False
-        self.current = seq
-        return True
-
-    def drain(self) -> List[Tuple[int, SweepOutcome]]:
-        """Collect every buffered result without blocking."""
-        results = []
-        try:
-            while self.conn.poll(0):
-                results.append(self.conn.recv())
-        except (EOFError, OSError):
-            pass
-        for seq, _outcome in results:
-            if seq == self.current:
-                self.current = None
-        return results
-
-    def reap(self) -> Optional[int]:
-        """Join a dead worker (zombie cleanup); returns its exit code."""
-        self.process.join(timeout=1.0)
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        return self.process.exitcode
-
-    def shutdown(self) -> None:
-        """Politely stop an idle worker and reap it."""
-        try:
-            self.conn.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-        self.process.join(timeout=2.0)
-        if self.process.is_alive():  # pragma: no cover - stuck worker
-            self.process.terminate()
-            self.process.join()
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-
-
-def _crashed_outcome(job: SweepJob, exitcode: Optional[int]) -> SweepOutcome:
-    detail = f"exit code {exitcode}" if exitcode is not None else "unknown exit"
+def _crashed_outcome(job: SweepJob, detail: object) -> SweepOutcome:
     return SweepOutcome(
         name=job.name,
         ok=False,
@@ -301,84 +212,46 @@ def _run_parallel(
     jobs_n: int,
     deadline_at: Optional[float],
     budget: Optional[Budget],
-    max_respawns: int,
 ) -> Tuple[List[SweepOutcome], int]:
     """The supervised parallel path; returns (outcomes, worker_crashes)."""
-    from multiprocessing.connection import wait as connection_wait
-
-    ctx = multiprocessing.get_context("fork")
-    payloads = [(seq, job, deadline_at, budget) for seq, job in enumerate(jobs)]
-    pending: List[int] = list(range(len(jobs)))  # seqs not yet dispatched
-    results: Dict[int, SweepOutcome] = {}
+    pending = list(jobs)
+    outcomes: List[SweepOutcome] = []
     crashes = 0
-    respawns = 0
-    workers = [_Worker(ctx) for _ in range(min(jobs_n, len(jobs)))]
+    idle = [ForkWorker() for _ in range(min(jobs_n, len(jobs)))]
+    busy: Dict[ForkWorker, SweepJob] = {}
     try:
-        while len(results) < len(jobs):
-            # 1. Collect whatever any worker has already sent.
-            for worker in workers:
-                for seq, outcome in worker.drain():
-                    results[seq] = outcome
-            # 2. Reap dead workers (zombie cleanup).  drain() above
-            # salvaged anything the worker managed to send before dying;
-            # whatever job is still marked in-flight died with it and is
-            # recorded instead of hanging the sweep.
-            for worker in list(workers):
-                if worker.process.is_alive():
-                    continue
-                for seq, outcome in worker.drain():
-                    results[seq] = outcome
-                exitcode = worker.reap()
-                if worker.current is not None:
-                    results[worker.current] = _crashed_outcome(
-                        jobs[worker.current], exitcode
-                    )
+        while pending or busy:
+            while idle and pending:
+                worker, job = idle.pop(), pending.pop(0)
+                worker.submit(_worker_job, (job, deadline_at, budget))
+                busy[worker] = job
+            for worker in ForkWorker.ready(list(busy)):
+                job = busy.pop(worker)
+                status, value = worker.result()
+                if status in (STATUS_CRASHED, STATUS_OOM):
+                    # The job dies with its worker, so a replacement is
+                    # forked at most once per job, and only while work
+                    # remains.
+                    outcomes.append(_crashed_outcome(job, value))
                     crashes += 1
-                workers.remove(worker)
-                if pending and respawns < max_respawns:
-                    respawns += 1
-                    workers.append(_Worker(ctx))
-            if len(results) >= len(jobs):
-                break
-            # 3. Out of workers and out of respawn budget: the remaining
-            # undispatched jobs can never run.
-            if not workers:
-                while pending:
-                    seq = pending.pop(0)
-                    results[seq] = _crashed_outcome(jobs[seq], None)
-                continue
-            # 4. Dispatch pending jobs to idle workers.  A dead pipe at
-            # dispatch puts the job back; the worker is reaped on the
-            # next pass.
-            for worker in workers:
-                if worker.current is None and pending:
-                    seq = pending.pop(0)
-                    if not worker.dispatch(seq, payloads[seq]):
-                        pending.insert(0, seq)
-            # 5. Multiplex result pipes and death sentinels: a SIGKILLed
-            # worker wakes this wait immediately instead of hanging the
-            # sweep on a result that will never arrive.
-            busy = [w for w in workers if w.current is not None]
-            if busy:
-                connection_wait(
-                    [w.conn for w in busy] + [w.sentinel for w in busy]
-                )
-            elif pending:
-                # Idle workers refused dispatch (dying but not yet dead):
-                # yield briefly, then reap them on the next pass.
-                time.sleep(0.005)
-        ordered = [results[seq] for seq in sorted(results)]
-        return ordered, crashes
+                    worker.close()
+                    if pending:
+                        idle.append(ForkWorker())
+                    continue
+                if status != STATUS_OK:
+                    value = SweepOutcome(job.name, ok=False, error=value)
+                outcomes.append(value)
+                idle.append(worker)
+        return outcomes, crashes
     finally:
-        for worker in workers:
-            worker.shutdown()
+        for worker in idle + list(busy):
+            worker.close()
 
 
 def run_sweep(
     jobs: Sequence[SweepJob],
     jobs_n: int = 1,
     budget: Optional[Budget] = None,
-    max_respawns: Optional[int] = None,
 ) -> SweepResult:
     """Run ``jobs`` with up to ``jobs_n`` worker processes.
 
@@ -387,9 +260,7 @@ def run_sweep(
     parallelism levels.  ``budget.deadline_seconds`` (if set) is the wall
     clock for the *whole sweep*; each job runs under the remainder.  A
     worker process dying mid-job costs that one job
-    (``stop_reason="worker_crashed"``) and a replacement worker, up to
-    ``max_respawns`` replacements (default: one per job — enough for a
-    whole sweep of poison programs, finite always).
+    (``stop_reason="worker_crashed"``) and a replacement worker.
     """
     names = [job.name for job in jobs]
     if len(set(names)) != len(names):
@@ -406,11 +277,7 @@ def run_sweep(
         outcomes = [_run_job(job, deadline_at, budget) for job in jobs]
         jobs_n = 1
     else:
-        if max_respawns is None:
-            max_respawns = len(jobs)
-        outcomes, crashes = _run_parallel(
-            jobs, jobs_n, deadline_at, budget, max_respawns
-        )
+        outcomes, crashes = _run_parallel(jobs, jobs_n, deadline_at, budget)
 
     ordered = tuple(sorted(outcomes, key=lambda o: o.name))
     return SweepResult(

@@ -14,8 +14,9 @@ them:
 * :mod:`repro.robust.degrade` — the degradation ladder
   ``exhaustive → bounded → random-sampled`` (imported lazily: it sits
   above :mod:`repro.sim`);
-* :mod:`repro.robust.isolation` — per-program subprocess fault isolation
-  for corpus drivers (imported lazily, same reason).
+* :mod:`repro.robust.isolation` — the governed fork worker behind the
+  parallel sweep, the corpus drivers and the service supervisor
+  (imported lazily, same reason).
 
 Only the leaf modules (budget, confidence, checkpoint) are imported
 eagerly; ``degrade``/``isolation`` symbols resolve on first attribute
@@ -54,7 +55,7 @@ _LAZY = {
     "ProgramOutcome": "repro.robust.isolation",
     "IsolatedResult": "repro.robust.isolation",
     "run_isolated": "repro.robust.isolation",
-    "run_isolated_retrying": "repro.robust.isolation",
+    "ForkWorker": "repro.robust.isolation",
     "run_batch_isolated": "repro.robust.isolation",
     "isolated_validate_corpus": "repro.robust.isolation",
     "isolated_fuzz_optimizer": "repro.robust.isolation",

@@ -1,11 +1,11 @@
-"""Per-program subprocess fault isolation for batch drivers.
+"""Governed fork workers and per-program fault isolation for batch drivers.
 
 ``validate_corpus`` / ``fuzz_optimizer`` sweep many generated programs
 through exhaustive exploration; one pathological input (a divergent BFS,
 a memory bomb, an interpreter crash) must not take the whole batch down.
-:func:`run_isolated` executes one task in a forked child process under a
-wall-clock timeout and an optional address-space limit, and *classifies*
-whatever happens into a structured :class:`ProgramOutcome`:
+:func:`run_isolated` executes one task in a fresh :class:`ForkWorker`
+under a wall-clock timeout and an optional memory ceiling, and
+*classifies* whatever happens into a structured :class:`ProgramOutcome`:
 
 * ``STATUS_OK``      — the task returned a value (shipped back pickled);
 * ``STATUS_TIMEOUT`` — the child outlived its deadline and was killed;
@@ -27,15 +27,16 @@ member's.
 from __future__ import annotations
 
 import multiprocessing
+import resource
 import time
 from dataclasses import dataclass, replace
+from multiprocessing.connection import wait
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.lang.syntax import Program
 from repro.litmus.generator import GeneratorConfig, random_wwrf_program
 from repro.robust.budget import Budget
 from repro.robust.confidence import Confidence
-from repro.robust.retry import RetryPolicy
 from repro.semantics.thread import SemanticsConfig
 
 STATUS_OK = "ok"
@@ -49,13 +50,13 @@ STATUS_ERROR = "error"
 class IsolationPolicy:
     """Limits one isolated task runs under.
 
-    ``memory_mb`` is enforced two ways in the child: as the soft
-    ``RLIMIT_AS`` (the hard governor behind the cooperative
-    :class:`Budget` ceiling) and by a :mod:`tracemalloc` watchdog thread
-    that catches Python-level allocation the rlimit cannot see (a forked
-    child inherits the parent's allocator free lists, so small-object
-    churn may never request new address space); ``None`` disables both.
-    ``retry`` enables the
+    ``memory_mb`` caps what the child allocates, enforced two ways: by a
+    :mod:`tracemalloc` watchdog thread, which sees Python-level
+    allocation even when it recycles the free lists a forked child
+    inherits, and by a soft ``RLIMIT_AS`` backstop for allocation the
+    watchdog cannot see, set ``memory_mb`` plus a fixed slack above the
+    address space the child inherits (the slack lets the watchdog decide
+    first); ``None`` disables both.  ``retry`` enables the
     retry-once-with-smaller-bounds semantics; the retry's deadline is the
     original times ``shrink_factor``.
     """
@@ -136,6 +137,26 @@ class IsolatedResult:
 #: How often the child's memory watchdog samples traced allocation.
 _WATCHDOG_INTERVAL_SECONDS = 0.05
 
+#: Address space the ``RLIMIT_AS`` backstop grants beyond ``memory_mb``:
+#: room for one watchdog interval of allocation at over 1 GB/s.  The
+#: watchdog must decide first — an rlimit failure while tracemalloc is
+#: tracing can wedge the interpreter (a ``SystemError`` or a spin that
+#: holds the GIL until the parent's timeout) instead of raising
+#: ``MemoryError``.
+_BACKSTOP_SLACK_MB = 64
+
+
+def _address_space_bytes() -> int:
+    """The process's current virtual size (0 where ``/proc`` is absent)."""
+    try:
+        with open("/proc/self/statm") as statm:
+            return int(statm.read().split()[0]) * resource.getpagesize()
+    except OSError:
+        return 0
+
+
+_OOM_DETAIL = "MemoryError: memory ceiling hit"
+
 
 def _start_memory_watchdog(conn, memory_mb) -> None:
     """Enforce ``memory_mb`` against Python-level allocation in the child.
@@ -172,7 +193,7 @@ def _start_memory_watchdog(conn, memory_mb) -> None:
                 over = True  # the probe itself OOMed: same verdict
             if over:
                 try:
-                    conn.send((STATUS_OOM, "MemoryError: memory ceiling hit"))
+                    conn.send((STATUS_OOM, _OOM_DETAIL))
                     conn.close()
                 finally:
                     os._exit(1)
@@ -180,151 +201,145 @@ def _start_memory_watchdog(conn, memory_mb) -> None:
     threading.Thread(target=watch, daemon=True, name="memory-watchdog").start()
 
 
-def _child_main(conn, fn, args, kwargs, memory_mb) -> None:
-    """Child-process trampoline: apply the limits, run, report back.
+def _worker_main(conn, memory_mb) -> None:
+    """Child-process main: apply the memory ceiling once, then run jobs.
 
-    On ``MemoryError`` the soft address-space limit is restored *before*
-    pickling the reply, so reporting the OOM cannot itself OOM.
+    Protocol: the parent sends ``(fn, args, kwargs)`` and finally
+    ``None``; the child answers every job with ``(status, value)``.  On
+    ``MemoryError`` the soft address-space limit is restored *before*
+    pickling the reply, so reporting the OOM cannot itself OOM, and the
+    child exits: its heap is no longer trustworthy for another job.
     """
     old_limit = None
-    try:
-        if memory_mb is not None:
-            import resource
-
-            _start_memory_watchdog(conn, memory_mb)
-            old_limit = resource.getrlimit(resource.RLIMIT_AS)
-            resource.setrlimit(
-                resource.RLIMIT_AS,
-                (int(memory_mb * 1024 * 1024), old_limit[1]),
-            )
-        result = fn(*args, **(kwargs or {}))
-        conn.send((STATUS_OK, result))
-    except MemoryError:
-        if old_limit is not None:
-            import resource
-
-            resource.setrlimit(resource.RLIMIT_AS, old_limit)
-        conn.send((STATUS_OOM, "MemoryError: memory ceiling hit"))
-    except BaseException as exc:  # report, never propagate out of the child
-        try:
-            conn.send((STATUS_ERROR, f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
-    finally:
-        conn.close()
-
-
-def _context():
-    """Fork where available (no pickling of the task closure), else spawn."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context("spawn")
+    if memory_mb is not None:
+        _start_memory_watchdog(conn, memory_mb)
+        old_limit = resource.getrlimit(resource.RLIMIT_AS)
+        backstop = _address_space_bytes() + (memory_mb + _BACKSTOP_SLACK_MB) * 2**20
+        resource.setrlimit(resource.RLIMIT_AS, (int(backstop), old_limit[1]))
+    with conn:
+        while True:
+            try:
+                job = conn.recv()
+            except (EOFError, OSError):  # parent went away
+                return
+            if job is None:
+                return
+            fn, args, kwargs = job
+            try:
+                reply = (STATUS_OK, fn(*args, **kwargs))
+            except MemoryError:
+                if old_limit is not None:
+                    resource.setrlimit(resource.RLIMIT_AS, old_limit)
+                conn.send((STATUS_OOM, _OOM_DETAIL))
+                return
+            except BaseException as exc:  # report, never propagate out of the child
+                reply = (STATUS_ERROR, f"{type(exc).__name__}: {exc}")
+            try:
+                conn.send(reply)
+            except OSError:  # parent went away
+                return
+            except Exception as exc:  # the result does not pickle
+                conn.send((STATUS_ERROR, f"{type(exc).__name__}: {exc}"))
 
 
-def _run_once(
-    key, fn, args, kwargs, policy: IsolationPolicy, retried: bool
-) -> ProgramOutcome:
-    """One governed child execution, classified."""
-    ctx = _context()
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    process = ctx.Process(
-        target=_child_main,
-        args=(child_conn, fn, args, kwargs, policy.memory_mb),
-        daemon=True,
-    )
-    started = time.monotonic()
-    process.start()
-    child_conn.close()
-    payload = None
-    # A dead child closes its pipe end, so poll() wakes early on a crash
-    # instead of sitting out the full deadline.  A wakeup with no payload
-    # is that EOF: the child died before reporting — classify by exit
-    # code below rather than falling into the timeout branch (the child
-    # may not be reaped yet, so is_alive() is unreliable here).
-    woke = parent_conn.poll(policy.timeout_seconds)
-    if woke:
-        try:
-            payload = parent_conn.recv()
-        except (EOFError, OSError):
-            payload = None
-    elapsed = time.monotonic() - started
-    if not woke:
-        process.terminate()
-        process.join(timeout=2.0)
-        if process.is_alive():  # pragma: no cover - SIGTERM normally suffices
-            process.kill()
-            process.join()
-        parent_conn.close()
-        return ProgramOutcome(
-            key,
-            STATUS_TIMEOUT,
-            detail=f"no result within {policy.timeout_seconds:.1f}s; child killed",
-            retried=retried,
-            elapsed_seconds=elapsed,
-        )
-    # Result (or EOF) arrived: give the child a moment to exit cleanly.
-    process.join(timeout=5.0)
-    if process.is_alive():  # pragma: no cover - stuck after reporting
-        process.terminate()
-        process.join()
-    parent_conn.close()
-    if payload is None:
-        return ProgramOutcome(
-            key,
-            STATUS_CRASHED,
-            detail=f"child died without reporting (exit code {process.exitcode})",
-            retried=retried,
-            elapsed_seconds=elapsed,
-        )
-    status, value = payload
-    if status == STATUS_OK:
-        return ProgramOutcome(
-            key, STATUS_OK, result=value, retried=retried, elapsed_seconds=elapsed
-        )
-    return ProgramOutcome(
-        key, status, detail=str(value), retried=retried, elapsed_seconds=elapsed
-    )
+class ForkWorker:
+    """One governed child process running module-level jobs one at a time.
 
+    The child forks once and applies the memory ceiling (tracemalloc
+    watchdog, then ``RLIMIT_AS``) before its first job; fork keeps the
+    already-imported interpreter, so a worker starts in milliseconds and
+    shares the monotonic clock with the parent.  Each job comes back
+    classified as ``(status, value)`` — ``value`` is the job's result for
+    ``STATUS_OK`` and a human-readable detail otherwise.  The parent
+    waits on the result pipe *and* the process sentinel, so a child that
+    dies mid-job (OOM killer, segfault, SIGKILL) is reported as
+    ``STATUS_CRASHED`` at once instead of hanging the caller.
 
-def run_isolated_retrying(
-    key,
-    fn: Callable,
-    args: Tuple = (),
-    kwargs: Optional[Dict] = None,
-    policy: IsolationPolicy = IsolationPolicy(),
-    retry: RetryPolicy = RetryPolicy.once(),
-    shrink: Optional[Callable[[Tuple, Optional[Dict]], Tuple[Tuple, Optional[Dict]]]] = None,
-    sleep: Callable[[float], None] = time.sleep,
-) -> ProgramOutcome:
-    """Run ``fn`` in a governed child, retrying per a :class:`RetryPolicy`.
-
-    The general form of the historical retry-once rule: up to
-    ``retry.max_attempts`` governed executions, exponential backoff with
-    deterministic jitter between them (``sleep`` is injectable so tests
-    and the chaos harness don't wait out real backoff), the isolation
-    limits shrinking once after the first failure, and the ``shrink``
-    hook rewriting ``(args, kwargs)`` for every retry (the corpus drivers
-    use it to attach a cooperative budget so a retried hang degrades to a
-    ``BOUNDED`` verdict instead of timing out again).
+    The parallel sweep keeps a few workers alive across many jobs; the
+    corpus drivers and the service supervisor use a fresh worker per
+    attempt (:meth:`run`).
     """
-    attempt_policy = policy
-    attempt_args, attempt_kwargs = args, kwargs
-    outcome = _run_once(key, fn, attempt_args, attempt_kwargs, attempt_policy,
-                        retried=False)
-    for attempt in range(retry.max_attempts - 1):
-        if outcome.ok:
-            return outcome
-        delay = retry.delay(attempt, key=str(key))
-        if delay > 0:
-            sleep(delay)
-        if shrink is not None:
-            attempt_args, attempt_kwargs = shrink(attempt_args, attempt_kwargs)
-        if attempt == 0:
-            attempt_policy = attempt_policy.shrink()
-        outcome = _run_once(key, fn, attempt_args, attempt_kwargs, attempt_policy,
-                            retried=True)
-    return outcome
+
+    def __init__(self, memory_mb: Optional[float] = None) -> None:
+        ctx = multiprocessing.get_context("fork")
+        self.conn, child_conn = ctx.Pipe(duplex=True)
+        self.process = ctx.Process(
+            target=_worker_main, args=(child_conn, memory_mb), daemon=True
+        )
+        self.process.start()
+        child_conn.close()
+
+    def __enter__(self) -> "ForkWorker":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def submit(self, fn: Callable, args: Tuple = (), kwargs: Optional[Dict] = None) -> None:
+        """Hand the child one job; its answer arrives via :meth:`result`.
+
+        A child already dead at dispatch is not an error here: the next
+        :meth:`result` sees its sentinel and reports ``STATUS_CRASHED``.
+        """
+        try:
+            self.conn.send((fn, args, kwargs or {}))
+        except OSError:
+            pass
+
+    def result(self, timeout: Optional[float] = None) -> Optional[Tuple[str, object]]:
+        """The in-flight job's ``(status, value)``, or ``None`` if it is
+        still running after ``timeout`` seconds (``None`` waits forever)."""
+        if not wait([self.conn, self.process.sentinel], timeout):
+            return None
+        # Whatever the child sent before dying is still in the pipe;
+        # EOF without a payload means it died before reporting.
+        try:
+            if self.conn.poll():
+                return self.conn.recv()
+        except (EOFError, OSError):
+            pass
+        self.process.join(timeout=1.0)
+        return (
+            STATUS_CRASHED,
+            f"child died without reporting (exit code {self.process.exitcode})",
+        )
+
+    def run(
+        self,
+        fn: Callable,
+        args: Tuple = (),
+        kwargs: Optional[Dict] = None,
+        timeout: Optional[float] = None,
+    ) -> Tuple[str, object]:
+        """Run one job to a classified ``(status, value)``; a job still
+        running after ``timeout`` seconds is ``STATUS_TIMEOUT`` and its
+        child is killed."""
+        self.submit(fn, args, kwargs)
+        reply = self.result(timeout)
+        if reply is None:
+            self.process.kill()
+            return STATUS_TIMEOUT, f"no result within {timeout:.1f}s; child killed"
+        return reply
+
+    @staticmethod
+    def ready(workers: Sequence["ForkWorker"]) -> List["ForkWorker"]:
+        """Block until at least one of ``workers`` has an answer (or has
+        died); returns those that do."""
+        woke = set(wait([h for w in workers for h in (w.conn, w.process.sentinel)]))
+        return [w for w in workers if woke & {w.conn, w.process.sentinel}]
+
+    def close(self) -> None:
+        """Stop the child (politely when idle), reap it, close the pipe."""
+        if self.process.is_alive():
+            try:
+                self.conn.send(None)
+            except OSError:
+                pass
+            self.process.join(timeout=2.0)
+            if self.process.is_alive():  # stuck mid-job
+                self.process.kill()
+        self.process.join()
+        self.conn.close()
 
 
 def run_isolated(
@@ -335,18 +350,34 @@ def run_isolated(
     policy: IsolationPolicy = IsolationPolicy(),
     shrink: Optional[Callable[[Tuple, Optional[Dict]], Tuple[Tuple, Optional[Dict]]]] = None,
 ) -> ProgramOutcome:
-    """Run ``fn(*args, **kwargs)`` in a governed child process.
+    """Run ``fn(*args, **kwargs)`` in a fresh governed child process.
 
     On any non-``ok`` outcome, when ``policy.retry`` is set the task runs
-    exactly once more under :meth:`IsolationPolicy.shrink`; a ``shrink``
-    hook may rewrite ``(args, kwargs)`` for the retry.  This is
-    :func:`run_isolated_retrying` specialized to the retry-once policy
-    the corpus drivers have always used.
+    exactly once more, in another fresh child, under
+    :meth:`IsolationPolicy.shrink`; a ``shrink`` hook may rewrite
+    ``(args, kwargs)`` for the retry (the corpus drivers use it to attach
+    a cooperative budget so a retried hang degrades to a ``BOUNDED``
+    verdict instead of timing out again).
     """
-    retry = RetryPolicy.once() if policy.retry else RetryPolicy.none()
-    return run_isolated_retrying(
-        key, fn, args, kwargs, policy=policy, retry=retry, shrink=shrink
-    )
+    retried = False
+    while True:
+        started = time.monotonic()
+        with ForkWorker(policy.memory_mb) as worker:
+            status, value = worker.run(fn, args, kwargs, policy.timeout_seconds)
+        ok = status == STATUS_OK
+        outcome = ProgramOutcome(
+            key, status,
+            result=value if ok else None,
+            detail="" if ok else str(value),
+            retried=retried,
+            elapsed_seconds=time.monotonic() - started,
+        )
+        if ok or not policy.retry:
+            return outcome
+        if shrink is not None:
+            args, kwargs = shrink(args, kwargs)
+        policy = policy.shrink()
+        retried = True
 
 
 def run_batch_isolated(
@@ -535,8 +566,8 @@ __all__ = [
     "IsolationPolicy",
     "ProgramOutcome",
     "IsolatedResult",
+    "ForkWorker",
     "run_isolated",
-    "run_isolated_retrying",
     "run_batch_isolated",
     "isolated_validate_corpus",
     "isolated_fuzz_optimizer",

@@ -1,8 +1,7 @@
 """Configurable retry with exponential backoff and deterministic jitter.
 
-:mod:`repro.robust.isolation` shipped a hard-wired *retry once with
-smaller bounds* rule.  The verification service needs the general form —
-a worker that dies under transient load deserves more than one more
+The verification service's supervisor retries failed job attempts: a
+worker that dies under transient load deserves more than one more
 chance, but synchronized retry storms (every failed job retrying on the
 same beat) must not be the next failure mode.  A :class:`RetryPolicy` is
 the declarative spec:
@@ -21,16 +20,10 @@ draw different jitter, which is all the thundering-herd defense needs).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Tuple
 
-
-def _unit_float(*parts: object) -> float:
-    """Uniform float in [0, 1) derived stably from ``parts``."""
-    blob = "\x00".join(str(part) for part in parts).encode()
-    digest = hashlib.sha256(blob).digest()
-    return int.from_bytes(digest[:8], "big") / 2**64
+from repro.robust.chaos import _unit_float
 
 
 @dataclass(frozen=True)
@@ -51,16 +44,6 @@ class RetryPolicy:
             raise ValueError("multiplier must be >= 1.0")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
-
-    @classmethod
-    def none(cls) -> "RetryPolicy":
-        """A single attempt, no retries (fail fast)."""
-        return cls(max_attempts=1)
-
-    @classmethod
-    def once(cls) -> "RetryPolicy":
-        """The historical isolation-layer rule: one immediate retry."""
-        return cls(max_attempts=2, base_delay_seconds=0.0, jitter=0.0)
 
     @property
     def retries(self) -> int:

@@ -1,11 +1,11 @@
 """Supervised job execution: retries, degradation, poison quarantine.
 
 The supervisor is the layer between the daemon's work queue and the
-fork-isolated workers of :mod:`repro.robust.isolation`.  Every job runs
-in its own governed child process; the supervisor's contract is that a
-job *always* comes back as a :class:`JobResult` — possibly unanswered,
-never an exception, never a hang — and that a degraded answer can never
-overclaim its confidence:
+governed child processes of :class:`repro.robust.isolation.ForkWorker`.
+Every job attempt runs in its own fresh child; the supervisor's contract
+is that a job *always* comes back as a :class:`JobResult` — possibly
+unanswered, never an exception, never a hang — and that a degraded
+answer can never overclaim its confidence:
 
 * **Health-checked execution** — each attempt runs under a hard
   wall-clock timeout (and optional memory ceiling); a worker that
@@ -38,6 +38,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.perf import cache
 from repro.robust.budget import Budget
 from repro.robust.confidence import Confidence
 from repro.robust.degrade import (
@@ -46,13 +47,7 @@ from repro.robust.degrade import (
     RUNG_EXHAUSTIVE,
     RUNG_SAMPLED,
 )
-from repro.robust.isolation import (
-    STATUS_CRASHED,
-    STATUS_OK,
-    STATUS_OOM,
-    IsolationPolicy,
-    run_isolated,
-)
+from repro.robust.isolation import STATUS_CRASHED, STATUS_OK, STATUS_OOM, ForkWorker
 from repro.robust.retry import RetryPolicy
 from repro.serve.store import ContentStore, content_key
 
@@ -77,8 +72,13 @@ class JobSpec:
             raise ValueError(f"unknown job kind {self.kind!r}; one of {JOB_KINDS}")
 
     def content_key(self) -> str:
-        """The job's content address (cache key and quarantine identity)."""
+        """The job's content address (cache key and quarantine identity).
+
+        The semantics version participates, so a stored verdict never
+        outlives a change to the semantics that earned it.
+        """
         return content_key(
+            cache.SEMANTICS_VERSION,
             self.kind,
             self.source,
             json.dumps(dict(self.options), sort_keys=True),
@@ -257,35 +257,32 @@ class Supervisor:
                 if delay > 0:
                     self._sleep(delay)
             attempt_deadline = max(0.2, deadline * (0.5 ** index))
-            outcome = run_isolated(
-                key,
-                _execute_job,
-                (
-                    spec.kind, spec.source, dict(spec.options), rung,
-                    self.config.bounded_max_states, self.config.sample_runs,
-                    self.config.sample_max_steps, attempt_deadline,
-                    spec.name,
-                ),
-                policy=IsolationPolicy(
-                    timeout_seconds=attempt_deadline,
-                    memory_mb=self.config.memory_mb,
-                    retry=False,
-                ),
-            )
-            attempts.append((rung, outcome.status))
-            if outcome.status == STATUS_OK:
-                return self._answered(
-                    spec, key, rung, outcome.result, tuple(attempts), started
+            # A fresh child per attempt: chaos keying relies on the
+            # per-process fault counters resetting (see _execute_job).
+            with ForkWorker(self.config.memory_mb) as worker:
+                status, value = worker.run(
+                    _execute_job,
+                    (
+                        spec.kind, spec.source, dict(spec.options), rung,
+                        self.config.bounded_max_states, self.config.sample_runs,
+                        self.config.sample_max_steps, attempt_deadline,
+                        spec.name,
+                    ),
+                    timeout=attempt_deadline,
                 )
-            if outcome.status in (STATUS_CRASHED, STATUS_OOM):
-                if self._record_crash(key, outcome.detail or outcome.status):
+            attempts.append((rung, status))
+            if status == STATUS_OK:
+                return self._answered(
+                    spec, key, rung, value, tuple(attempts), started
+                )
+            if status in (STATUS_CRASHED, STATUS_OOM):
+                if self._record_crash(key, value):
                     self._bump("unanswered")
                     self._bump("quarantined_jobs")
                     return JobResult(
                         spec.name, spec.kind, ok=None,
                         attempts=tuple(attempts),
-                        error=f"quarantined after repeated worker deaths "
-                              f"({outcome.detail or outcome.status})",
+                        error=f"quarantined after repeated worker deaths ({value})",
                         elapsed_seconds=time.monotonic() - started,
                     )
 

@@ -6,6 +6,7 @@ per-program verdicts and behavior-set digests.  Hypothesis drives that
 over randomly generated ww-race-free programs.
 """
 
+import os
 import time
 
 import pytest
@@ -95,6 +96,21 @@ class TestSweepBasics:
     def test_confidence_none_without_verdicts(self):
         result = run_sweep([SweepJob("a", _square, (1,))])
         assert result.confidence() is None
+
+
+def _pid(_index):
+    return os.getpid()
+
+
+class TestLongLivedWorkers:
+    def test_workers_are_reused_across_jobs(self):
+        """Workers are forked once per sweep, not once per job."""
+        jobs = [SweepJob(f"j{i}", _pid, (i,)) for i in range(6)]
+        result = run_sweep(jobs, jobs_n=2)
+        pids = {o.value for o in result.outcomes}
+        assert result.ok
+        assert 1 <= len(pids) <= 2
+        assert os.getpid() not in pids
 
 
 class TestSweepBudget:

@@ -62,6 +62,14 @@ class TestRunIsolated:
         assert outcome.ok
         assert outcome.result == 42
 
+    def test_each_call_runs_in_a_fresh_process(self):
+        """The supervisor relies on a fresh child per attempt."""
+        first = run_isolated("a", os.getpid, policy=FAST)
+        second = run_isolated("b", os.getpid, policy=FAST)
+        assert first.ok and second.ok
+        assert first.result != second.result
+        assert os.getpid() not in (first.result, second.result)
+
     def test_deliberate_hang_is_timeout(self):
         policy = IsolationPolicy(timeout_seconds=0.5, retry=False)
         started = time.monotonic()

@@ -132,6 +132,23 @@ class TestStoreIntegration:
         warm = Supervisor(store, FAST).run_job(spec())
         assert warm.cached and warm.confidence == "PROVED"
 
+    def test_semantics_change_turns_warm_store_into_miss(
+        self, tmp_path, monkeypatch
+    ):
+        """A stored verdict must not outlive a change to the semantics:
+        the version is part of the key, so the old entry silently misses
+        (it is not corruption, so nothing is quarantined)."""
+        from repro.perf import cache
+
+        store = ContentStore(str(tmp_path))
+        Supervisor(store, FAST).run_job(spec())
+        assert Supervisor(store, FAST).run_job(spec()).cached
+        monkeypatch.setattr(cache, "SEMANTICS_VERSION", "ps21-repro-next")
+        fresh = Supervisor(store, FAST).run_job(spec())
+        assert not fresh.cached and fresh.confidence == "PROVED"
+        assert store.quarantined == 0
+        assert not (tmp_path / "quarantine").exists()
+
 
 class TestDegradation:
     def test_killed_exhaustive_rung_caps_at_bounded(self, tmp_path):
