@@ -13,9 +13,11 @@ The library provides, as runnable Python:
   equivalence checking (Thm. 4.1);
 * **write-write race freedom** detectors for both machines (paper Sec. 5,
   Lemma 5.1) (:mod:`repro.races`);
-* a CompCert-style **dataflow framework** and the paper's four verified
+* CompCert-style **dataflow analyses**, each a domain of the one
+  abstract-interpretation fixpoint engine, and the paper's four verified
   optimizations — ConstProp, DCE, CSE, LICM — with the weak-memory
-  crossing rules of Sec. 7 (:mod:`repro.analysis`, :mod:`repro.opt`);
+  crossing rules of Sec. 7 (:mod:`repro.analysis`,
+  :mod:`repro.static.absint`, :mod:`repro.opt`);
 * the **thread-local simulation** machinery of Sec. 6 — invariants,
   timestamp mappings, delayed write sets, a game-solving simulation
   checker — and a translation-validation pipeline (:mod:`repro.sim`);

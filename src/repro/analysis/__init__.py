@@ -2,11 +2,13 @@
 
 The paper's four optimizations are *analyses-based*: each runs a dataflow
 analysis to a fixpoint and then applies a per-instruction transformation
-justified by the analysis result.  This package provides:
+justified by the analysis result.  Every analysis here is a
+:class:`~repro.static.absint.domain.Domain` solved by the one fixpoint
+engine, :func:`repro.static.absint.solve`, and returns its
+:class:`~repro.static.absint.engine.FixpointResult`.  This package
+provides:
 
-* :mod:`repro.analysis.lattice` — the lattice/transfer-function interfaces;
-* :mod:`repro.analysis.dataflow` — forward/backward Kleene worklist solvers
-  over function CFGs, at block and instruction granularity;
+* :mod:`repro.analysis.lattice` — the flat constant lattice;
 * :mod:`repro.analysis.value` — constant-value analysis (for ConstProp);
 * :mod:`repro.analysis.liveness` — liveness of registers and non-atomic
   locations with the paper's *release-write barrier* ("no variable is dead
@@ -19,26 +21,23 @@ justified by the analysis result.  This package provides:
   load detection (for LInv/LICM).
 """
 
-from repro.analysis.lattice import FlatValue, Lattice
-from repro.analysis.dataflow import BlockAnalysis, solve_backward, solve_forward
+from repro.analysis.lattice import FlatValue
 from repro.analysis.value import ConstEnv, value_analysis
-from repro.analysis.liveness import LiveSet, liveness_analysis
-from repro.analysis.availexpr import AvailFacts, available_analysis
+from repro.analysis.liveness import LiveSet, LivenessDomain, liveness_analysis
+from repro.analysis.availexpr import AvailDomain, AvailFacts, available_analysis
 from repro.analysis.loops import LoopInfo, find_invariant_loads, loop_info
 
 __all__ = [
+    "AvailDomain",
     "AvailFacts",
-    "BlockAnalysis",
     "ConstEnv",
     "FlatValue",
-    "Lattice",
     "LiveSet",
+    "LivenessDomain",
     "LoopInfo",
     "available_analysis",
     "find_invariant_loads",
     "liveness_analysis",
     "loop_info",
-    "solve_backward",
-    "solve_forward",
     "value_analysis",
 ]

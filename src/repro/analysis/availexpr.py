@@ -48,19 +48,14 @@ call                         everything (unknown callee)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, cast
+from typing import FrozenSet, Optional, Set, Tuple, cast
 
-from repro.analysis.dataflow import BlockAnalysis, solve_forward
-from repro.analysis.lattice import Lattice
 from repro.lang.syntax import (
     AccessMode,
     Assign,
-    BasicBlock,
     Be,
     Call,
     Cas,
-    CodeHeap,
     Expr,
     Fence,
     FenceKind,
@@ -76,6 +71,8 @@ from repro.lang.syntax import (
     Terminator,
     expr_regs,
 )
+from repro.static.absint.domain import Direction, Domain
+from repro.static.absint.engine import FixpointResult, solve
 
 #: A fact: ("load", reg, loc), ("expr", reg, expr) or ("stval", loc, expr).
 Fact = Tuple[str, str, object]
@@ -91,10 +88,6 @@ def _join(a: AvailFacts, b: AvailFacts) -> AvailFacts:
     if b is None:
         return a
     return a & b
-
-
-def _eq(a: AvailFacts, b: AvailFacts) -> bool:
-    return a == b
 
 
 def _kill_reg(facts: FrozenSet[Fact], reg: str) -> FrozenSet[Fact]:
@@ -188,44 +181,40 @@ def transfer_terminator(term: Terminator, facts: AvailFacts) -> AvailFacts:
     raise TypeError(f"not a terminator: {term!r}")
 
 
-@dataclass(frozen=True)
-class AvailResult:
-    """Per-block availability: ``entry_facts[label]`` holds at block entry;
-    per-instruction facts come from forward replay."""
+class AvailDomain(Domain[AvailFacts]):
+    """The availability analysis as a forward domain (a must-analysis:
+    ``None`` is the unreached element and joins intersect)."""
 
-    heap: CodeHeap
-    entry_facts: Dict[str, AvailFacts]
-    acquire_kills: bool = True
+    name = "availability"
+    direction = Direction.FORWARD
 
-    def before_instruction(self, label: str) -> List[AvailFacts]:
-        """``facts[i]`` = fact set holding just *before* instruction ``i``."""
-        block = self.heap[label]
-        fact = self.entry_facts[label]
-        out: List[AvailFacts] = []
-        for instr in block.instrs:
-            out.append(fact)
-            fact = transfer_instruction(instr, fact, self.acquire_kills)
-        return out
+    def __init__(self, acquire_kills: bool = True) -> None:
+        self.acquire_kills = acquire_kills
+
+    def bottom(self) -> AvailFacts:
+        return None
+
+    def boundary(self) -> AvailFacts:
+        return frozenset()
+
+    def join(self, a: AvailFacts, b: AvailFacts) -> AvailFacts:
+        return _join(a, b)
+
+    def is_bottom(self, fact: AvailFacts) -> bool:
+        return fact is None
+
+    def transfer(self, instr: Instr, fact: AvailFacts) -> AvailFacts:
+        return transfer_instruction(instr, fact, self.acquire_kills)
+
+    def transfer_terminator(self, term: Terminator, fact: AvailFacts) -> AvailFacts:
+        return transfer_terminator(term, fact)
 
 
 def available_analysis(
     program: Program, func: str, acquire_kills: bool = True
-) -> AvailResult:
+) -> FixpointResult[AvailFacts]:
     """Run the availability analysis on one function."""
-    heap = program.function(func)
-
-    def transfer(label: str, block: BasicBlock, fact: AvailFacts) -> AvailFacts:
-        for instr in block.instrs:
-            fact = transfer_instruction(instr, fact, acquire_kills)
-        return transfer_terminator(block.term, fact)
-
-    analysis = BlockAnalysis(
-        lattice=Lattice(bottom=None, join=_join, eq=_eq),
-        transfer=transfer,
-        boundary=frozenset(),
-    )
-    entry_facts = solve_forward(heap, analysis)
-    return AvailResult(heap, entry_facts, acquire_kills)
+    return solve(program.function(func), AvailDomain(acquire_kills))
 
 
 def lookup_load(facts: AvailFacts, loc: str, exclude: str) -> Optional[str]:

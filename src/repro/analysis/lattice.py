@@ -1,40 +1,17 @@
-"""Lattices for dataflow analyses.
+"""The flat constant lattice of the value analysis.
 
-A :class:`Lattice` packages the join-semilattice operations the Kleene
-solvers need.  :class:`FlatValue` is the classic flat (constant) lattice
-``⊥ ⊑ const(v) ⊑ ⊤`` used by the value analysis behind ConstProp.
+:class:`FlatValue` is the classic flat lattice ``⊥ ⊑ const(v) ⊑ ⊤`` used
+by the value analysis behind ConstProp.  The other analyses carry
+their lattice operations in their
+:class:`~repro.static.absint.domain.Domain` classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generic, Optional, TypeVar
+from typing import Optional
 
 from repro.lang.values import Int32
-
-T = TypeVar("T")
-
-
-@dataclass(frozen=True)
-class Lattice(Generic[T]):
-    """A join-semilattice: ``bottom``, ``join``, and the induced ``leq``.
-
-    ``bottom`` is the solver's optimistic initial element; analyses
-    ascend from it until the fixpoint.
-    """
-
-    bottom: T
-    join: Callable[[T, T], T]
-    eq: Callable[[T, T], bool]
-
-    def leq(self, a: T, b: T) -> bool:
-        """``a ⊑ b`` iff ``a ⊔ b = b``."""
-        return self.eq(self.join(a, b), b)
-
-
-# ---------------------------------------------------------------------------
-# The flat constant lattice
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)

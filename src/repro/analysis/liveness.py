@@ -20,18 +20,14 @@ Registers are thread-private, so no barrier ever applies to them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List
+from typing import FrozenSet
 
-from repro.analysis.dataflow import BlockAnalysis, solve_backward
-from repro.analysis.lattice import Lattice
 from repro.lang.syntax import (
     AccessMode,
     Assign,
-    BasicBlock,
     Be,
     Call,
     Cas,
-    CodeHeap,
     Fence,
     FenceKind,
     Instr,
@@ -46,6 +42,8 @@ from repro.lang.syntax import (
     expr_regs,
     program_registers,
 )
+from repro.static.absint.domain import Direction, Domain
+from repro.static.absint.engine import FixpointResult, solve
 
 
 @dataclass(frozen=True)
@@ -69,59 +67,6 @@ class LiveSet:
 
     def __str__(self) -> str:
         return f"regs={sorted(self.regs)}, locs={sorted(self.locs)}"
-
-
-def _live_lattice() -> Lattice[LiveSet]:
-    return Lattice(
-        bottom=LiveSet(),
-        join=lambda a, b: a.join(b),
-        eq=lambda a, b: a == b,
-    )
-
-
-@dataclass(frozen=True)
-class LivenessResult:
-    """Per-block liveness: ``exit_facts[label]`` is the fact at block exit;
-    :meth:`after_instruction` recovers per-instruction facts by replay."""
-
-    heap: CodeHeap
-    atomics: FrozenSet[str]
-    all_regs: FrozenSet[str]
-    all_na_locs: FrozenSet[str]
-    return_live: LiveSet
-    exit_facts: Dict[str, LiveSet]
-
-    def after_terminator_fact(self, label: str) -> LiveSet:
-        """The live set immediately *before* the terminator of ``label``
-        (i.e. after the last instruction)."""
-        block = self.heap[label]
-        return _transfer_terminator(
-            block.term,
-            self.exit_facts[label],
-            self.all_regs,
-            self.all_na_locs,
-            self.return_live,
-        )
-
-    def instruction_facts(self, label: str) -> List[LiveSet]:
-        """``facts[i]`` = live set *after* instruction ``i`` of the block
-        (the fact DCE consults to decide whether instruction ``i`` is dead).
-        """
-        block = self.heap[label]
-        fact = self.after_terminator_fact(label)
-        facts: List[LiveSet] = [fact] * len(block.instrs)
-        for index in range(len(block.instrs) - 1, -1, -1):
-            facts[index] = fact
-            fact = transfer_instruction(block.instrs[index], fact, self.all_na_locs)
-        return facts
-
-    def entry_fact(self, label: str) -> LiveSet:
-        """The live set at the very top of the block."""
-        block = self.heap[label]
-        fact = self.after_terminator_fact(label)
-        for instr in reversed(block.instrs):
-            fact = transfer_instruction(instr, fact, self.all_na_locs)
-        return fact
 
 
 def transfer_instruction(instr: Instr, live: LiveSet, all_na_locs: FrozenSet[str]) -> LiveSet:
@@ -201,29 +146,46 @@ def _is_call_target(program: Program, func: str) -> bool:
     )
 
 
-def liveness_analysis(program: Program, func: str) -> LivenessResult:
-    """Run ``Lv_Analyzer`` on one function of ``program``."""
-    heap = program.function(func)
-    atomics = program.atomics
-    all_regs = program_registers(program)
-    all_na_locs = frozenset(loc for loc in program.locations() if loc not in atomics)
-    if _is_call_target(program, func):
-        return_live = LiveSet(all_regs, all_na_locs)
-    else:
-        return_live = LiveSet()
+class LivenessDomain(Domain[LiveSet]):
+    """``Lv_Analyzer`` as a backward domain over one function.
 
-    def transfer(label: str, block: BasicBlock, exit_fact: LiveSet) -> LiveSet:
-        fact = _transfer_terminator(
-            block.term, exit_fact, all_regs, all_na_locs, return_live
+    The fact at a program point is the live set *before* it; the solved
+    result's ``before_instructions(label)[1:]`` are the live-after facts
+    DCE consults.
+    """
+
+    name = "liveness"
+    direction = Direction.BACKWARD
+
+    def __init__(self, program: Program, func: str) -> None:
+        atomics = program.atomics
+        self.all_regs = program_registers(program)
+        self.all_na_locs = frozenset(
+            loc for loc in program.locations() if loc not in atomics
         )
-        for instr in reversed(block.instrs):
-            fact = transfer_instruction(instr, fact, all_na_locs)
-        return fact
+        if _is_call_target(program, func):
+            self.return_live = LiveSet(self.all_regs, self.all_na_locs)
+        else:
+            self.return_live = LiveSet()
 
-    analysis = BlockAnalysis(
-        lattice=_live_lattice(),
-        transfer=transfer,
-        boundary=return_live,
-    )
-    exit_facts = solve_backward(heap, analysis)
-    return LivenessResult(heap, atomics, all_regs, all_na_locs, return_live, exit_facts)
+    def bottom(self) -> LiveSet:
+        return LiveSet()
+
+    def boundary(self) -> LiveSet:
+        return self.return_live
+
+    def join(self, a: LiveSet, b: LiveSet) -> LiveSet:
+        return a.join(b)
+
+    def transfer(self, instr: Instr, fact: LiveSet) -> LiveSet:
+        return transfer_instruction(instr, fact, self.all_na_locs)
+
+    def transfer_terminator(self, term: Terminator, fact: LiveSet) -> LiveSet:
+        return _transfer_terminator(
+            term, fact, self.all_regs, self.all_na_locs, self.return_live
+        )
+
+
+def liveness_analysis(program: Program, func: str) -> FixpointResult[LiveSet]:
+    """Run ``Lv_Analyzer`` on one function of ``program``."""
+    return solve(program.function(func), LivenessDomain(program, func))

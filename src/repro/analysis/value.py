@@ -12,7 +12,7 @@ which Sec. 7.2 lists as supported).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.analysis.lattice import (
     FLAT_BOT,
@@ -26,7 +26,6 @@ from repro.lang.syntax import (
     BinOp,
     Call,
     Cas,
-    CodeHeap,
     Const,
     Expr,
     Instr,
@@ -36,6 +35,9 @@ from repro.lang.syntax import (
     Terminator,
     eval_binop,
 )
+
+if TYPE_CHECKING:
+    from repro.static.absint.engine import FixpointResult
 
 #: Environment: register → flat value (absent registers are ``#0`` at
 #: function entry — CSimpRTL registers are zero-initialized — and ``⊤``
@@ -148,33 +150,9 @@ def transfer_terminator(term: Terminator, env: Env) -> Env:
     return env
 
 
-@dataclass(frozen=True)
-class ValueResult:
-    """Per-block constant environments at block entry + replay helpers."""
-
-    heap: CodeHeap
-    entry_envs: Dict[str, Env]
-
-    def before_instruction(self, label: str) -> List[Env]:
-        """``envs[i]`` = environment just before instruction ``i``."""
-        block = self.heap[label]
-        env = self.entry_envs[label]
-        out: List[Env] = []
-        for instr in block.instrs:
-            out.append(env)
-            env = transfer_instruction(instr, env)
-        return out
-
-    def before_terminator(self, label: str) -> Env:
-        """The environment just before the block's terminator."""
-        block = self.heap[label]
-        env = self.entry_envs[label]
-        for instr in block.instrs:
-            env = transfer_instruction(instr, env)
-        return env
-
-
-def value_analysis(program: Program, func: str, initial: Optional[Env] = None) -> ValueResult:
+def value_analysis(
+    program: Program, func: str, initial: Optional[Env] = None
+) -> FixpointResult[Env]:
     """Run the constant-value analysis on one function.
 
     ``initial`` defaults to the zero-initialized entry environment; pass
@@ -191,6 +169,4 @@ def value_analysis(program: Program, func: str, initial: Optional[Env] = None) -
     from repro.static.absint import solve
     from repro.static.absint.domains.constants import ConstantsDomain
 
-    heap = program.function(func)
-    result = solve(heap, ConstantsDomain(initial))
-    return ValueResult(heap, dict(result.entry))
+    return solve(program.function(func), ConstantsDomain(initial))

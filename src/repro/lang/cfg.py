@@ -3,7 +3,7 @@
 Dataflow analyses (`repro.analysis`) run per function over the block-level
 CFG.  This module computes successors/predecessors, reverse postorder,
 dominators, and natural loops — the standard machinery that LICM's loop
-detection and the Kleene solvers are built on.
+detection and the fixpoint engine (`repro.static.absint`) are built on.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.analysis.lattice import FLAT_TOP
-from repro.analysis.value import Env, ValueResult, eval_abstract, transfer_instruction, value_analysis
+from repro.analysis.value import Env, eval_abstract, value_analysis
 from repro.lang.syntax import (
     Assign,
     BasicBlock,
@@ -29,14 +29,13 @@ from repro.lang.syntax import (
     Expr,
     Instr,
     Jmp,
-    Load,
     Print,
     Program,
-    Skip,
     Store,
     Terminator,
 )
 from repro.opt.base import Optimizer
+from repro.static.absint.engine import FixpointResult
 from repro.static.crossing import CrossingProfile
 
 
@@ -86,14 +85,14 @@ class ConstProp(Optimizer):
             new_blocks.append((label, self._transform_block(label, block, result)))
         return CodeHeap(tuple(new_blocks), heap.entry)
 
-    def _transform_block(self, label: str, block: BasicBlock, result: ValueResult) -> BasicBlock:
-        env = result.entry_envs[label]
-        new_instrs: List[Instr] = []
-        for instr in block.instrs:
-            new_instrs.append(self._transform_instr(instr, env))
-            env = transfer_instruction(instr, env)
-        term = self._transform_term(block.term, env)
-        return BasicBlock(tuple(new_instrs), term)
+    def _transform_block(
+        self, label: str, block: BasicBlock, result: FixpointResult[Env]
+    ) -> BasicBlock:
+        envs = result.before_instructions(label)
+        new_instrs = tuple(
+            self._transform_instr(instr, env) for instr, env in zip(block.instrs, envs)
+        )
+        return BasicBlock(new_instrs, self._transform_term(block.term, envs[-1]))
 
     def _transform_instr(self, instr: Instr, env: Env) -> Instr:
         if env.is_unreached:

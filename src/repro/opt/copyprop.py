@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Tuple
 
-from repro.analysis.dataflow import BlockAnalysis, solve_forward
-from repro.analysis.lattice import Lattice
 from repro.lang.syntax import (
     Assign,
     BasicBlock,
@@ -31,11 +29,12 @@ from repro.lang.syntax import (
     Print,
     Program,
     Reg,
-    Skip,
     Store,
     Terminator,
 )
 from repro.opt.base import Optimizer
+from repro.static.absint.domain import Direction, Domain
+from repro.static.absint.engine import FixpointResult, solve
 from repro.static.crossing import CrossingProfile
 
 #: Copy facts: frozenset of (dst, src) pairs meaning dst currently equals
@@ -78,6 +77,37 @@ def transfer_terminator(term: Terminator, facts: CopyFacts) -> CopyFacts:
     return facts
 
 
+class CopyDomain(Domain[CopyFacts]):
+    """The copy facts as a forward must-analysis (``None`` is the
+    unreached element and joins intersect)."""
+
+    name = "copies"
+    direction = Direction.FORWARD
+
+    def bottom(self) -> CopyFacts:
+        return None
+
+    def boundary(self) -> CopyFacts:
+        return frozenset()
+
+    def join(self, a: CopyFacts, b: CopyFacts) -> CopyFacts:
+        return _join(a, b)
+
+    def is_bottom(self, fact: CopyFacts) -> bool:
+        return fact is None
+
+    def transfer(self, instr: Instr, fact: CopyFacts) -> CopyFacts:
+        return transfer_instruction(instr, fact)
+
+    def transfer_terminator(self, term: Terminator, fact: CopyFacts) -> CopyFacts:
+        return transfer_terminator(term, fact)
+
+
+def copy_analysis(program: Program, func: str) -> FixpointResult[CopyFacts]:
+    """Solve the copy facts of one function."""
+    return solve(program.function(func), CopyDomain())
+
+
 def _resolve(reg: str, facts: FrozenSet[Tuple[str, str]]) -> str:
     """Follow copy chains: the ultimate source of ``reg`` (cycle-safe)."""
     sources = dict(facts)
@@ -106,32 +136,16 @@ class CopyProp(Optimizer):
     crossing_profile: CrossingProfile = CrossingProfile(invariant="id")
 
     def run_function(self, program: Program, func: str) -> CodeHeap:
-        heap = program.function(func)
-
-        def transfer(label: str, block: BasicBlock, fact: CopyFacts) -> CopyFacts:
-            for instr in block.instrs:
-                fact = transfer_instruction(instr, fact)
-            return transfer_terminator(block.term, fact)
-
-        entry_facts = solve_forward(
-            heap,
-            BlockAnalysis(
-                lattice=Lattice(bottom=None, join=_join, eq=lambda a, b: a == b),
-                transfer=transfer,
-                boundary=frozenset(),
-            ),
-        )
-
+        copies = copy_analysis(program, func)
         new_blocks: List[Tuple[str, BasicBlock]] = []
-        for label, block in heap.blocks:
-            fact = entry_facts[label]
-            instrs: List[Instr] = []
-            for instr in block.instrs:
-                instrs.append(self._rewrite(instr, fact))
-                fact = transfer_instruction(instr, fact)
-            term = self._rewrite_term(block.term, fact)
-            new_blocks.append((label, BasicBlock(tuple(instrs), term)))
-        return CodeHeap(tuple(new_blocks), heap.entry)
+        for label, block in copies.heap.blocks:
+            facts = copies.before_instructions(label)
+            instrs = tuple(
+                self._rewrite(instr, fact) for instr, fact in zip(block.instrs, facts)
+            )
+            term = self._rewrite_term(block.term, facts[-1])
+            new_blocks.append((label, BasicBlock(instrs, term)))
+        return CodeHeap(tuple(new_blocks), copies.heap.entry)
 
     def _rewrite(self, instr: Instr, facts: CopyFacts) -> Instr:
         if facts is None or not facts:

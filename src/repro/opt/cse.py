@@ -25,7 +25,6 @@ from typing import List, Tuple
 
 from repro.analysis.availexpr import (
     AvailFacts,
-    AvailResult,
     available_analysis,
     lookup_expr,
     lookup_load,
@@ -43,6 +42,7 @@ from repro.lang.syntax import (
     Skip,
 )
 from repro.opt.base import Optimizer
+from repro.static.absint.engine import FixpointResult
 from repro.static.crossing import CrossingProfile
 
 
@@ -74,8 +74,10 @@ class CSE(Optimizer):
             new_blocks.append((label, self._transform_block(label, block, avail)))
         return CodeHeap(tuple(new_blocks), heap.entry)
 
-    def _transform_block(self, label: str, block: BasicBlock, avail: AvailResult) -> BasicBlock:
-        facts = avail.before_instruction(label)
+    def _transform_block(
+        self, label: str, block: BasicBlock, avail: FixpointResult[AvailFacts]
+    ) -> BasicBlock:
+        facts = avail.before_instructions(label)
         new_instrs: List[Instr] = []
         for instr, before in zip(block.instrs, facts):
             new_instrs.append(self._transform_instr(instr, before))

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.analysis.liveness import LiveSet, LivenessResult, liveness_analysis
+from repro.analysis.liveness import LiveSet, liveness_analysis
 from repro.lang.syntax import (
     AccessMode,
     Assign,
@@ -43,6 +43,7 @@ from repro.lang.syntax import (
     Store,
 )
 from repro.opt.base import Optimizer
+from repro.static.absint.engine import FixpointResult
 from repro.static.crossing import CrossingProfile
 
 
@@ -71,21 +72,19 @@ class DCE(Optimizer):
     )
 
     def run_function(self, program: Program, func: str) -> CodeHeap:
-        heap = program.function(func)
-        liveness = liveness_analysis(program, func)
-        new_blocks: List[Tuple[str, BasicBlock]] = []
-        for label, block in heap.blocks:
-            new_blocks.append((label, self._transform_block(label, block, liveness)))
-        return CodeHeap(tuple(new_blocks), heap.entry)
+        return eliminate_dead_code(liveness_analysis(program, func))
 
-    def _transform_block(
-        self, label: str, block: BasicBlock, liveness: LivenessResult
-    ) -> BasicBlock:
-        facts = liveness.instruction_facts(label)
-        new_instrs: List[Instr] = []
-        for instr, live_after in zip(block.instrs, facts):
-            if instruction_is_dead(instr, live_after):
-                new_instrs.append(Skip())
-            else:
-                new_instrs.append(instr)
-        return BasicBlock(tuple(new_instrs), block.term)
+
+def eliminate_dead_code(liveness: FixpointResult[LiveSet]) -> CodeHeap:
+    """``Translate_rdce``: replace every instruction that is dead under
+    the solved ``liveness`` by ``skip``."""
+    heap = liveness.heap
+    new_blocks: List[Tuple[str, BasicBlock]] = []
+    for label, block in heap.blocks:
+        live_after = liveness.before_instructions(label)[1:]
+        new_instrs = tuple(
+            Skip() if instruction_is_dead(instr, live) else instr
+            for instr, live in zip(block.instrs, live_after)
+        )
+        new_blocks.append((label, BasicBlock(new_instrs, block.term)))
+    return CodeHeap(tuple(new_blocks), heap.entry)

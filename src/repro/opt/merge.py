@@ -80,7 +80,7 @@ class Merge(Optimizer):
         avail = available_analysis(program, func, True)
         new_blocks: List[Tuple[str, BasicBlock]] = []
         for label, block in heap.blocks:
-            merged = _merge_block(block, avail.before_instruction(label))
+            merged = _merge_block(block, avail.before_instructions(label))
             new_blocks.append((label, merged))
         return CodeHeap(tuple(new_blocks), heap.entry)
 

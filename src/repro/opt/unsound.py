@@ -33,8 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, List, Tuple
 
-from repro.analysis.dataflow import BlockAnalysis, solve_backward
-from repro.analysis.liveness import LiveSet, _live_lattice, _transfer_terminator
+from repro.analysis.liveness import LiveSet, LivenessDomain, transfer_instruction
 from repro.lang.syntax import (
     AccessMode,
     BasicBlock,
@@ -47,10 +46,10 @@ from repro.lang.syntax import (
     Skip,
     Store,
     expr_regs,
-    program_registers,
 )
 from repro.opt.base import Optimizer
-from repro.opt.dce import instruction_is_dead
+from repro.opt.dce import eliminate_dead_code
+from repro.static.absint.engine import solve
 from repro.static.crossing import CrossingProfile
 
 
@@ -72,9 +71,17 @@ def _naive_transfer(
         return LiveSet((regs - {instr.dst}) | uses, locs)  # no barrier!
     if isinstance(instr, Fence):
         return live  # no barrier!
-    from repro.analysis.liveness import transfer_instruction
-
     return transfer_instruction(instr, live, all_na_locs)
+
+
+class NaiveLivenessDomain(LivenessDomain):
+    """The incorrect ``Lv_Analyzer`` of Fig. 15: liveness with the
+    barrier-free transfer."""
+
+    name = "naive-liveness"
+
+    def transfer(self, instr: Instr, fact: LiveSet) -> LiveSet:
+        return _naive_transfer(instr, fact, self.all_na_locs)
 
 
 @dataclass(frozen=True)
@@ -93,46 +100,9 @@ class NaiveDCE(Optimizer):
     )
 
     def run_function(self, program: Program, func: str) -> CodeHeap:
-        heap = program.function(func)
-        atomics = program.atomics
-        all_regs = program_registers(program)
-        all_na_locs = frozenset(
-            loc for loc in program.locations() if loc not in atomics
+        return eliminate_dead_code(
+            solve(program.function(func), NaiveLivenessDomain(program, func))
         )
-        from repro.analysis.liveness import _is_call_target
-
-        return_live = (
-            LiveSet(all_regs, all_na_locs) if _is_call_target(program, func) else LiveSet()
-        )
-
-        def transfer(label: str, block: BasicBlock, exit_fact: LiveSet) -> LiveSet:
-            fact = _transfer_terminator(
-                block.term, exit_fact, all_regs, all_na_locs, return_live
-            )
-            for instr in reversed(block.instrs):
-                fact = _naive_transfer(instr, fact, all_na_locs)
-            return fact
-
-        analysis = BlockAnalysis(
-            lattice=_live_lattice(), transfer=transfer, boundary=return_live
-        )
-        exit_facts = solve_backward(heap, analysis)
-
-        new_blocks: List[Tuple[str, BasicBlock]] = []
-        for label, block in heap.blocks:
-            fact = _transfer_terminator(
-                block.term, exit_facts[label], all_regs, all_na_locs, return_live
-            )
-            facts: List[LiveSet] = [fact] * len(block.instrs)
-            for index in range(len(block.instrs) - 1, -1, -1):
-                facts[index] = fact
-                fact = _naive_transfer(block.instrs[index], fact, all_na_locs)
-            new_instrs = tuple(
-                Skip() if instruction_is_dead(instr, live_after) else instr
-                for instr, live_after in zip(block.instrs, facts)
-            )
-            new_blocks.append((label, BasicBlock(new_instrs, block.term)))
-        return CodeHeap(tuple(new_blocks), heap.entry)
 
 
 @dataclass(frozen=True)

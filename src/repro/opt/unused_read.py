@@ -65,7 +65,7 @@ class UnusedRead(Optimizer):
         env_writes = environment_writes(program, func)
         new_blocks: List[Tuple[str, BasicBlock]] = []
         for label, block in heap.blocks:
-            live_after = live.instruction_facts(label)
+            live_after = live.before_instructions(label)[1:]
             instrs: List[Instr] = []
             for index, instr in enumerate(block.instrs):
                 if (

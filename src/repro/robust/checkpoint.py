@@ -15,8 +15,9 @@ Integrity: the payload is pickled and wrapped with a SHA-256 digest; a
 truncated or corrupted checkpoint file fails loudly at load time
 (:class:`CheckpointError`), never by silently resuming from garbage.  A
 checkpoint also records a digest of the program text and machine flavor
-it was taken from, and :meth:`Explorer.resume` refuses to resume onto a
-different program.
+it was taken from, and the semantics version of the code that took it;
+:meth:`Explorer.resume` refuses to resume onto a different program or
+under a different semantics version.
 """
 
 from __future__ import annotations
@@ -62,9 +63,12 @@ class ExplorationCheckpoint:
     #: Sleep-set DPOR continuation (``repro.semantics.dpor``): the live
     #: DFS stack with per-node sleep/backtrack/done sets, the visited-
     #: sleep memo, subtree summaries, and stats.  ``None`` for plain-BFS
-    #: checkpoints and for checkpoints written before this field existed
-    #: (readers use ``getattr(cp, "dpor", None)``).
+    #: checkpoints.
     dpor: Optional[tuple] = None
+    #: The ``repro.perf.cache.SEMANTICS_VERSION`` of the code that took
+    #: the snapshot (empty for checkpoints written before the field
+    #: existed); resuming under any other version is refused.
+    semantics_version: str = ""
 
     @property
     def state_count(self) -> int:

@@ -95,7 +95,7 @@ plus the ``--por-conservative`` differential
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.lang.syntax import Cas, Fence, FenceKind, Load, Print, Program, Store
@@ -532,35 +532,6 @@ def _cancel_closure(
     return out
 
 
-def _migrate_resume(resume: tuple, index: FootprintIndex) -> tuple:
-    """Upgrade a checkpoint payload written by the sleep-set-only core:
-    rebuild the stats record with defaults for counters that did not
-    exist yet, convert ``frozenset``-encoded footprints to masks, and
-    install the wakeup fields missing from old ``_Node`` pickles."""
-    stack, visited, summaries, stats = resume
-    stats = DporStats(
-        **{f.name: getattr(stats, f.name, 0) for f in dataclass_fields(DporStats)}
-    )
-
-    def fix(fp: Footprint) -> Footprint:
-        reads, writes, flags = fp
-        if isinstance(reads, int):
-            return fp
-        return intern_footprint((index.mask(reads), index.mask(writes), flags))
-
-    for node in stack:
-        node.fp = {tid: fix(fp) for tid, fp in node.fp.items()}
-        node.summary = {tid: fix(fp) for tid, fp in node.summary.items()}
-        if not hasattr(node, "scripts"):
-            node.scripts = {}
-            node.hint = ()
-            node.child_hint = ()
-    for summary in summaries.values():
-        for tid in list(summary):
-            summary[tid] = fix(summary[tid])
-    return stack, visited, summaries, stats
-
-
 def dpor_build(
     explorer,
     meter=None,
@@ -579,9 +550,9 @@ def dpor_build(
     config: SemanticsConfig = explorer.config
     index = FootprintIndex(program, config)
 
-    resume = getattr(explorer, "_dpor_resume", None)
+    resume = explorer._dpor_resume
     if resume is not None:
-        stack, visited, summaries, stats = _migrate_resume(resume, index)
+        stack, visited, summaries, stats = resume
         explorer._dpor_resume = None
     else:
         stack = []

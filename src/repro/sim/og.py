@@ -57,16 +57,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.analysis.availexpr import (
-    AvailFacts,
-    available_analysis,
-    stored_value,
-    transfer_instruction as avail_transfer,
-)
-from repro.analysis.dataflow import BlockAnalysis, solve_forward
-from repro.analysis.lattice import Lattice
+from repro.analysis.availexpr import AvailFacts, available_analysis, stored_value
 from repro.analysis.liveness import LiveSet, liveness_analysis
-from repro.analysis.value import Env, eval_abstract, transfer_instruction as value_transfer, value_analysis
+from repro.analysis.value import Env, eval_abstract, value_analysis
 from repro.lang.syntax import (
     AccessMode,
     Assign,
@@ -86,15 +79,10 @@ from repro.lang.syntax import (
     Terminator,
 )
 from repro.opt.constprop import entry_env_for, fold_expr
-from repro.opt.copyprop import (
-    CopyFacts,
-    _join as copy_join,
-    _resolve as copy_resolve,
-    transfer_instruction as copy_transfer,
-    transfer_terminator as copy_transfer_term,
-)
+from repro.opt.copyprop import CopyFacts, copy_analysis, _resolve as copy_resolve
 from repro.opt.dce import instruction_is_dead
 from repro.static.absint.domains.modref import environment_writes
+from repro.static.absint.engine import FixpointResult
 from repro.static.crossing import (
     CrossingProfile,
     explain_merges,
@@ -149,71 +137,40 @@ class OGReport:
 
 @dataclass
 class _FunctionFacts:
-    """Lazily computed source-side analyses for one function."""
+    """Lazily computed source-side analyses for one function.
+
+    Each accessor lists one fact per program point of the block, the
+    last being the point just before the terminator (``live_after``:
+    one per instruction, the fact after it)."""
 
     program: Program
     func: str
-    _value: Optional[object] = field(default=None, repr=False)
-    _avail: Optional[object] = field(default=None, repr=False)
-    _live: Optional[object] = field(default=None, repr=False)
-    _copies: Optional[Dict[str, CopyFacts]] = field(default=None, repr=False)
+    _value: Optional[FixpointResult[Env]] = field(default=None, repr=False)
+    _avail: Optional[FixpointResult[AvailFacts]] = field(default=None, repr=False)
+    _live: Optional[FixpointResult[LiveSet]] = field(default=None, repr=False)
+    _copies: Optional[FixpointResult[CopyFacts]] = field(default=None, repr=False)
 
     def value_envs(self, label: str) -> List[Env]:
-        """``envs[i]`` = abstract register env before instruction ``i``;
-        one extra entry for the point before the terminator."""
         if self._value is None:
             self._value = value_analysis(
                 self.program, self.func, entry_env_for(self.program, self.func)
             )
-        heap = self.program.function(self.func)
-        env = self._value.entry_envs[label]  # type: ignore[attr-defined]
-        envs = [env]
-        for instr in heap[label].instrs:
-            env = value_transfer(instr, env)
-            envs.append(env)
-        return envs
+        return self._value.before_instructions(label)
 
     def avail_before(self, label: str) -> List[AvailFacts]:
         if self._avail is None:
             self._avail = available_analysis(self.program, self.func, True)
-        facts = self._avail.before_instruction(label)  # type: ignore[attr-defined]
-        # Extend with the fact before the terminator.
-        heap = self.program.function(self.func)
-        block = heap[label]
-        last = facts[-1] if facts else self._avail.entry_facts[label]  # type: ignore[attr-defined]
-        if block.instrs:
-            last = avail_transfer(block.instrs[-1], last, True)
-        return list(facts) + [last]
+        return self._avail.before_instructions(label)
 
     def live_after(self, label: str) -> List[LiveSet]:
         if self._live is None:
             self._live = liveness_analysis(self.program, self.func)
-        return self._live.instruction_facts(label)  # type: ignore[attr-defined]
+        return self._live.before_instructions(label)[1:]
 
     def copies_before(self, label: str) -> List[CopyFacts]:
         if self._copies is None:
-            heap = self.program.function(self.func)
-
-            def transfer(lbl: str, block: BasicBlock, fact: CopyFacts) -> CopyFacts:
-                for instr in block.instrs:
-                    fact = copy_transfer(instr, fact)
-                return copy_transfer_term(block.term, fact)
-
-            self._copies = solve_forward(
-                heap,
-                BlockAnalysis(
-                    lattice=Lattice(bottom=None, join=copy_join, eq=lambda a, b: a == b),
-                    transfer=transfer,
-                    boundary=frozenset(),
-                ),
-            )
-        heap = self.program.function(self.func)
-        fact = self._copies[label]
-        out = [fact]
-        for instr in heap[label].instrs:
-            fact = copy_transfer(instr, fact)
-            out.append(fact)
-        return out
+            self._copies = copy_analysis(self.program, self.func)
+        return self._copies.before_instructions(label)
 
 
 def _copy_equiv(src: Expr, tgt: Expr, facts: CopyFacts) -> bool:

@@ -3,21 +3,27 @@
 One engine serves every static analysis in :mod:`repro.static`: it
 iterates a :class:`~repro.static.absint.domain.Domain`'s transfer
 functions over a function's block CFG to the least fixpoint, at
-instruction granularity, in either direction.  Compared to the
-block-level Kleene solvers of :mod:`repro.analysis.dataflow` it adds
+instruction granularity, in either direction.  Beyond plain
+least-fixpoint iteration it provides
 
 * **widening** at loop heads (heads of CFG back edges for forward
   domains, their tails for backward ones) after ``widen_delay``
-  ordinary joins, making infinite-height domains (intervals) converge;
+  ordinary joins, making infinite-height domains (intervals) converge.
+  The loop heads are only computed once some label's join count passes
+  the delay, so finite-height domains that converge early never pay for
+  the dominator computation;
 * **narrowing**: a bounded number of descending passes that claw back
   precision lost to widening (sound for any count — each pass stays
-  above the least fixpoint);
+  above the least fixpoint).  A solve that never widened ended at the
+  least fixpoint already, so narrowing is skipped;
 * **edge refinement**: forward domains may refine the fact flowing
   along each branch edge (the intervals domain turns ``be r < 10``
   into ``r ∈ [_, 9]`` on the then-edge), and may kill statically dead
   edges outright by returning bottom;
 * **per-instruction replay**: :meth:`FixpointResult.at` recovers the
-  fact holding at any ``(label, offset)`` program point, which is what
+  fact holding at any ``(label, offset)`` program point, and
+  :meth:`FixpointResult.before_instructions` every point of a block in
+  one replay — what the optimization passes, the Owicki–Gries checker,
   the race summaries and the certification pre-check consume.
 
 The engine never inspects call targets itself: interprocedural domains
@@ -29,7 +35,7 @@ close over function summaries (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Generic, List, Set, TypeVar
+from typing import Dict, FrozenSet, Generic, List, Optional, Set, TypeVar
 
 from repro.lang.cfg import Cfg
 from repro.lang.syntax import CodeHeap
@@ -92,10 +98,26 @@ class FixpointResult(Generic[T]):
         return fact
 
     def before_instructions(self, label: str) -> List[T]:
-        """``facts[i]`` = fact just before instruction ``i`` of the block
-        (forward replay; backward domains get the suffix facts)."""
-        block = self.heap[label]
-        return [self.at(label, i) for i in range(len(block.instrs))]
+        """Every program point of the block in one replay: ``facts[i]``
+        equals ``at(label, i)`` for ``0 <= i <= len(instrs)``, the last
+        entry being the point just before the terminator.  For backward
+        domains ``facts[i + 1]`` is the fact *after* instruction ``i``."""
+        instrs = self.heap[label].instrs
+        transfer = self.domain.transfer
+        if self.domain.direction is Direction.FORWARD:
+            fact = self.entry[label]
+            facts = [fact]
+            for instr in instrs:
+                fact = transfer(instr, fact)
+                facts.append(fact)
+            return facts
+        fact = self.exit[label]
+        facts = [fact]
+        for instr in reversed(instrs):
+            fact = transfer(instr, fact)
+            facts.append(fact)
+        facts.reverse()
+        return facts
 
 
 def solve(
@@ -135,6 +157,34 @@ class _Worklist:
         return bool(self.pending)
 
 
+class _WidenPoints:
+    """The labels where cyclic joins accumulate — back-edge heads, or
+    their tails when ``tails`` — with a per-label join counter.
+
+    The back edges need dominators, so they are computed only once some
+    label's count passes the widening delay; counting every label
+    instead of just the widening points changes no decision.
+    """
+
+    def __init__(self, cfg: Cfg, tails: bool) -> None:
+        self._cfg = cfg
+        self._tails = tails
+        self._points: Optional[FrozenSet[str]] = None
+        self._counts: Dict[str, int] = {}
+
+    def due(self, label: str, delay: int) -> bool:
+        """Count one more join at ``label``; whether to widen it."""
+        count = self._counts.get(label, 0) + 1
+        self._counts[label] = count
+        if count <= delay:
+            return False
+        if self._points is None:
+            self._points = frozenset(
+                tail if self._tails else head for tail, head in self._cfg.back_edges()
+            )
+        return label in self._points
+
+
 def _block_out_forward(heap: CodeHeap, domain: Domain[T], label: str, fact: T) -> T:
     block = heap[label]
     for instr in block.instrs:
@@ -152,12 +202,12 @@ def _solve_forward(
     cfg = Cfg.of(heap)
     order = cfg.reverse_postorder()
     position = {label: i for i, label in enumerate(order)}
-    widen_points = {head for _tail, head in cfg.back_edges()}
+    succ_map = cfg.succ_map
+    widen_points = _WidenPoints(cfg, tails=False)
 
     entry: Dict[str, T] = {label: domain.bottom() for label in cfg.labels()}
     entry[cfg.entry] = domain.boundary()
     exit_: Dict[str, T] = {label: domain.bottom() for label in cfg.labels()}
-    join_counts: Dict[str, int] = {}
     widened: Set[str] = set()
 
     work = _Worklist(position)
@@ -175,24 +225,24 @@ def _solve_forward(
         out = _block_out_forward(heap, domain, label, entry[label])
         exit_[label] = out
         term = heap[label].term
-        for succ in cfg.succ_map[label]:
+        for succ in succ_map[label]:
             refined = domain.edge(label, term, succ, out)
             if domain.is_bottom(refined):
                 continue  # statically dead edge
             joined = domain.join(entry[succ], refined)
             if domain.eq(joined, entry[succ]):
                 continue
-            if succ in widen_points:
-                count = join_counts.get(succ, 0) + 1
-                join_counts[succ] = count
-                if count > widen_delay:
-                    joined = domain.widen(entry[succ], joined)
-                    widened.add(succ)
+            if widen_points.due(succ, widen_delay):
+                joined = domain.widen(entry[succ], joined)
+                widened.add(succ)
             entry[succ] = joined
             work.push(succ)
 
-    preds = cfg.predecessors()
-    for _ in range(max(0, narrow_passes)):
+    # Without widening the ascent ended at the least fixpoint, which no
+    # descending pass can lower.
+    passes = max(0, narrow_passes) if widened else 0
+    preds = cfg.predecessors() if passes else {}
+    for _ in range(passes):
         changed = False
         for label in order:
             if domain.is_bottom(entry[label]):
@@ -216,7 +266,7 @@ def _solve_forward(
             break
 
     # Blocks reached but never recomputed in a narrowing pass still need
-    # their exit fact materialized (narrow_passes == 0).
+    # their exit fact materialized (no narrowing pass ran).
     for label in order:
         if not domain.is_bottom(entry[label]) and domain.is_bottom(exit_[label]):
             exit_[label] = _block_out_forward(heap, domain, label, entry[label])
@@ -238,13 +288,14 @@ def _solve_backward(
     cfg = Cfg.of(heap)
     order = tuple(reversed(cfg.reverse_postorder()))
     position = {label: i for i, label in enumerate(order)}
+    succ_map = cfg.succ_map
+    preds = cfg.predecessors()
     # In the backward orientation, cyclic joins accumulate at back-edge
     # *tails*; widen there.
-    widen_points = {tail for tail, _head in cfg.back_edges()}
+    widen_points = _WidenPoints(cfg, tails=True)
 
     entry: Dict[str, T] = {label: domain.bottom() for label in cfg.labels()}
     exit_: Dict[str, T] = {label: domain.bottom() for label in cfg.labels()}
-    join_counts: Dict[str, int] = {}
     widened: Set[str] = set()
 
     work = _Worklist(position)
@@ -259,7 +310,7 @@ def _solve_backward(
             )
         label = work.pop()
         block = heap[label]
-        succs = cfg.succ_map[label]
+        succs = succ_map[label]
         if succs:
             incoming = domain.bottom()
             for succ in succs:
@@ -267,20 +318,16 @@ def _solve_backward(
         else:
             incoming = domain.boundary()
         fact = domain.transfer_terminator(block.term, incoming)
-        if label in widen_points:
-            count = join_counts.get(label, 0) + 1
-            join_counts[label] = count
-            if count > widen_delay:
-                fact = domain.widen(exit_[label], fact)
-                widened.add(label)
+        if widen_points.due(label, widen_delay):
+            fact = domain.widen(exit_[label], fact)
+            widened.add(label)
         exit_[label] = fact
         for instr in reversed(block.instrs):
             fact = domain.transfer(instr, fact)
         if domain.eq(fact, entry[label]):
             continue
         entry[label] = fact
-        for pred, pred_succs in cfg.succ_map.items():
-            if label in pred_succs:
-                work.push(pred)
+        for pred in preds[label]:
+            work.push(pred)
 
     return FixpointResult(heap, domain, entry, exit_, iterations, frozenset(widened))

@@ -97,27 +97,23 @@ def build_access_summary(program: Program, tid: int) -> ThreadAccessSummary:
 
     facts = None
     if not entry_called:
-        result = solve(program.function(entry), AccessDomain(modref))
-        facts = result
+        facts = solve(program.function(entry), AccessDomain(modref))
 
     writes: List[AccessSite] = []
     reads: List[AccessSite] = []
     for func in functions:
         heap = program.function(func)
         reach = reachable_labels(heap)
-        in_entry = func == entry and facts is not None
         for label, block in heap.blocks:
             if label not in reach:
                 continue
-            point: Optional[AccessFact] = None
+            points: Optional[List[AccessFact]] = None
+            if func == entry and facts is not None:
+                points = facts.before_instructions(label)
             for index, instr in enumerate(block.instrs):
                 released: Optional[FrozenSet[str]] = None
-                if in_entry:
-                    if point is None:
-                        point = facts.at(label, index)
-                    if not point.is_unreached:
-                        released = point.published
-                    point = facts.domain.transfer(instr, point)
+                if points is not None and not points[index].is_unreached:
+                    released = points[index].published
                 if isinstance(instr, Store) and instr.mode is AccessMode.NA:
                     writes.append(
                         AccessSite(instr.loc, func, label, index, WRITE, released)

@@ -117,7 +117,7 @@ class TestWholeFunction:
         f.block("join").ret()
         pb.thread("f")
         result = available_analysis(pb.build(), "f")
-        assert result.entry_facts["join"] == frozenset()  # only one branch loads
+        assert result.entry["join"] == frozenset()  # only one branch loads
 
     def test_fact_flows_through_both_branches(self):
         pb = ProgramBuilder()
@@ -134,7 +134,7 @@ class TestWholeFunction:
         f.block("join").ret()
         pb.thread("f")
         result = available_analysis(pb.build(), "f")
-        assert ("load", "r", "a") in result.entry_facts["join"]
+        assert ("load", "r", "a") in result.entry["join"]
 
     def test_loop_fact_survives_clean_body(self):
         """A fact established before a loop holds at the header iff the
@@ -153,8 +153,8 @@ class TestWholeFunction:
         f.block("end").ret()
         pb.thread("f")
         result = available_analysis(pb.build(), "f")
-        assert ("load", "r", "a") in result.entry_facts["loop"]
-        assert ("load", "r", "a") in result.entry_facts["body"]
+        assert ("load", "r", "a") in result.entry["loop"]
+        assert ("load", "r", "a") in result.entry["body"]
 
     def test_loop_fact_killed_by_acquire_in_body(self):
         pb = ProgramBuilder(atomics={"x"})
@@ -172,7 +172,7 @@ class TestWholeFunction:
         f.block("end").ret()
         pb.thread("f")
         result = available_analysis(pb.build(), "f")
-        assert ("load", "r", "a") not in result.entry_facts["body"]
+        assert ("load", "r", "a") not in result.entry["body"]
 
     def test_call_clobbers_everything(self):
         pb = ProgramBuilder()
@@ -185,7 +185,7 @@ class TestWholeFunction:
         g.block("entry").ret()
         pb.thread("f")
         result = available_analysis(pb.build(), "f")
-        assert result.entry_facts["after"] == frozenset()
+        assert result.entry["after"] == frozenset()
 
 
 class TestLookups:

@@ -1,4 +1,4 @@
-"""Flat-lattice laws (property tests) and the Lattice interface."""
+"""Flat-lattice laws (property tests)."""
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,7 +7,6 @@ from repro.analysis.lattice import (
     FLAT_BOT,
     FLAT_TOP,
     FlatValue,
-    Lattice,
     flat_const,
     flat_join,
 )
@@ -52,14 +51,6 @@ def test_flags():
     assert FLAT_BOT.is_bot and not FLAT_BOT.is_const
     assert FLAT_TOP.is_top
     assert flat_const(0).is_const
-
-
-def test_lattice_leq_derived_from_join():
-    lattice = Lattice(bottom=FLAT_BOT, join=flat_join, eq=lambda a, b: a == b)
-    assert lattice.leq(FLAT_BOT, flat_const(1))
-    assert lattice.leq(flat_const(1), FLAT_TOP)
-    assert not lattice.leq(FLAT_TOP, flat_const(1))
-    assert not lattice.leq(flat_const(1), flat_const(2))
 
 
 def test_const_requires_value():

@@ -95,7 +95,7 @@ class TestWholeFunction:
         pb.thread("t1")
         program = pb.build()
         result = liveness_analysis(program, "t1")
-        facts = result.instruction_facts("entry")
+        facts = result.before_instructions("entry")[1:]
         # After y:=2 (i.e. before the release write): y must be live —
         # the barrier keeps the first write.
         assert "y" in facts[0].locs
@@ -119,7 +119,7 @@ class TestWholeFunction:
         pb.thread("main")
         program = pb.build()
         result = liveness_analysis(program, "main")
-        facts = result.instruction_facts("entry")
+        facts = result.before_instructions("entry")[1:]
         # a:=1 is followed by a call that may read a — live.
         assert "a" in facts[0].locs
 
@@ -136,7 +136,7 @@ class TestWholeFunction:
         pb.thread("main")
         program = pb.build()
         result = liveness_analysis(program, "helper")
-        facts = result.instruction_facts("entry")
+        facts = result.before_instructions("entry")[1:]
         # helper can be called: at its return everything stays live, so
         # the a-write cannot be considered dead.
         assert "a" in facts[0].locs
@@ -155,7 +155,7 @@ class TestWholeFunction:
         end.ret()
         pb.thread("f")
         result = liveness_analysis(pb.build(), "f")
-        assert "i" in result.entry_fact("loop").regs
+        assert "i" in result.entry["loop"].regs
 
     def test_dead_register_chain(self):
         """r2 := r1 where r2 is unused makes r1 dead too (transitively)."""
@@ -163,6 +163,6 @@ class TestWholeFunction:
             [[Assign("r1", Const(5)), Assign("r2", Reg("r1"))]]
         )
         result = liveness_analysis(program, "t1")
-        facts = result.instruction_facts("entry")
+        facts = result.before_instructions("entry")[1:]
         assert "r2" not in facts[0].regs
-        assert "r1" not in result.entry_fact("entry").regs
+        assert "r1" not in result.entry["entry"].regs

@@ -64,15 +64,15 @@ class TestAnalysis:
         f.block("next").print_("r")
         pb.thread("f")
         result = value_analysis(pb.build(), "f")
-        assert result.entry_envs["next"].get("r") == flat_const(5)
+        assert result.entry["next"].get("r") == flat_const(5)
 
     def test_memory_reads_are_top(self):
         program = straightline_program(
             [[Load("r", "x", AccessMode.RLX)]], atomics={"x"}
         )
         result = value_analysis(program, "t1")
-        envs = result.before_instruction("entry")
-        after_load = result.before_terminator("entry")
+        envs = result.before_instructions("entry")
+        after_load = result.before_instructions("entry")[-1]
         assert after_load.get("r") == FLAT_TOP
 
     def test_join_of_branches(self):
@@ -88,7 +88,7 @@ class TestAnalysis:
         f.block("join").ret()
         pb.thread("f")
         result = value_analysis(pb.build(), "f")
-        assert result.entry_envs["join"].get("r") == FLAT_TOP
+        assert result.entry["join"].get("r") == FLAT_TOP
 
     def test_same_constant_on_both_branches_survives(self):
         pb = ProgramBuilder()
@@ -103,7 +103,7 @@ class TestAnalysis:
         f.block("join").ret()
         pb.thread("f")
         result = value_analysis(pb.build(), "f")
-        assert result.entry_envs["join"].get("r") == flat_const(7)
+        assert result.entry["join"].get("r") == flat_const(7)
 
     def test_loop_increment_reaches_top(self):
         pb = ProgramBuilder()
@@ -119,7 +119,7 @@ class TestAnalysis:
         f.block("end").ret()
         pb.thread("f")
         result = value_analysis(pb.build(), "f")
-        assert result.entry_envs["loop"].get("i") == FLAT_TOP
+        assert result.entry["loop"].get("i") == FLAT_TOP
 
     def test_call_boundary_clobbers(self):
         pb = ProgramBuilder()
@@ -131,4 +131,4 @@ class TestAnalysis:
         pb.function("g").block("entry").ret()
         pb.thread("f")
         result = value_analysis(pb.build(), "f")
-        assert result.entry_envs["after"].get("r") == FLAT_TOP
+        assert result.entry["after"].get("r") == FLAT_TOP

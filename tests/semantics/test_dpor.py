@@ -268,54 +268,24 @@ class TestCheckpointResume:
             resumed = Explorer.resume(first.snapshot(), program, DPOR).behaviors()
             assert resumed.traces == unreduced, cap
 
-    def test_pre_source_set_checkpoint_payload_migrates(self):
-        """A checkpoint written by the PR-8 sleep-set core — frozenset
-        location footprints, no wakeup fields on the stack nodes, the
-        shorter stats record — migrates on resume and finishes with the
-        right behaviors."""
-        from types import SimpleNamespace
-
-        from repro.semantics.dpor import FootprintIndex
+    def test_checkpoint_from_other_semantics_version_is_refused(
+        self, monkeypatch
+    ):
+        """A DPOR checkpoint records the semantics version it was taken
+        under; resuming it under another version raises instead of
+        reinterpreting a payload whose layout may have changed."""
+        from repro.perf import cache
+        from repro.robust.checkpoint import CheckpointError
 
         program = sb()
         explorer = Explorer(program, DPOR)
         explorer.build(meter=Budget(max_states=8).start())
         checkpoint = explorer.snapshot()
-        stack, visited, summaries, stats = checkpoint.dpor
-        assert stack  # the DFS really was interrupted mid-flight
-        loc_bit = FootprintIndex(program, DPOR).loc_bit
-
-        def downgrade(fp):
-            reads, writes, flags = fp
-            unmask = lambda m: frozenset(  # noqa: E731
-                loc for loc, b in loc_bit.items() if m & b
-            )
-            return (unmask(reads), unmask(writes), flags)
-
-        for node in stack:
-            node.fp = {tid: downgrade(fp) for tid, fp in node.fp.items()}
-            node.summary = {
-                tid: downgrade(fp) for tid, fp in node.summary.items()
-            }
-            for name in ("scripts", "hint", "child_hint"):
-                delattr(node, name)
-        for summary in summaries.values():
-            for tid in list(summary):
-                summary[tid] = downgrade(summary[tid])
-        old_stats = SimpleNamespace(
-            nodes=stats.nodes,
-            transitions=stats.transitions,
-            sleep_skips=stats.sleep_skips,
-            sleep_blocked=stats.sleep_blocked,
-            backtrack_points=stats.backtrack_points,
-            full_expansions=stats.full_expansions,
-        )
-        object.__setattr__(
-            checkpoint, "dpor", (stack, visited, summaries, old_stats)
-        )
-        resumed = Explorer.resume(checkpoint, program, DPOR)
-        assert resumed.behaviors().traces == behaviors(program).traces
-        assert resumed.dpor_stats.nodes >= stats.nodes
+        assert checkpoint.dpor is not None
+        assert checkpoint.semantics_version == cache.SEMANTICS_VERSION
+        monkeypatch.setattr(cache, "SEMANTICS_VERSION", "ps21-repro-next")
+        with pytest.raises(CheckpointError, match="semantics version"):
+            Explorer.resume(checkpoint, program, DPOR)
 
 
 class TestNewlyEnabledCorpora:

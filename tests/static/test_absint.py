@@ -1,18 +1,28 @@
 """Unit and property tests for the abstract-interpretation engine.
 
 Covers the worklist solver (both directions, widening/narrowing,
-dead-edge pruning), the interval domain's soundness against concrete
-``eval_expr``, the constants domain's parity with ConstProp's value
-analysis, and the interprocedural summary machinery.
+dead-edge pruning, one-pass block replay), the interval domain's
+soundness against concrete ``eval_expr``, the constants domain's parity
+with ConstProp's value analysis, the optimization analyses' domains,
+and the interprocedural summary machinery.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.availexpr import available_analysis
+from repro.analysis.lattice import FLAT_BOT, FLAT_TOP, FlatValue, flat_const, flat_join
+from repro.analysis.liveness import liveness_analysis
+from repro.analysis.value import value_analysis
 from repro.lang.builder import ProgramBuilder, binop
-from repro.lang.syntax import eval_expr
+from repro.lang.cfg import Cfg
+from repro.lang.syntax import Assign, eval_expr
 from repro.lang.values import Int32
-from repro.static.absint import solve
+from repro.litmus.library import LITMUS_SUITE
+from repro.opt.constprop import entry_env_for
+from repro.opt.copyprop import copy_analysis
+from repro.static.absint import Direction, Domain, solve
 from repro.static.absint.domains.constants import ConstantsDomain, possibly_nonzero
 from repro.static.absint.domains.intervals import (
     INT32_MAX,
@@ -36,6 +46,122 @@ def _single_function(build):
         build(f)
     pb.thread("f")
     return pb.build()
+
+
+# ---------------------------------------------------------------------------
+# Generic solving: a toy reaching-labels domain
+# ---------------------------------------------------------------------------
+
+
+class ReachingLabels(Domain):
+    """Every block opens with a marker assignment to a register named
+    after its label; a fact is the set of markers passed on the way in
+    (forward) or lying ahead (backward), ``None`` while unreached."""
+
+    name = "reaching-labels"
+
+    def __init__(self, direction):
+        self.direction = direction
+
+    def bottom(self):
+        return None
+
+    def boundary(self):
+        return frozenset()
+
+    def join(self, a, b):
+        return b if a is None else a if b is None else a | b
+
+    def transfer(self, instr, fact):
+        if fact is None or not isinstance(instr, Assign):
+            return fact
+        return fact | {instr.dst}
+
+
+def diamond():
+    pb = ProgramBuilder()
+    f = pb.function("f")
+    entry = f.block("entry")
+    entry.assign("entry", 0)
+    entry.be(binop("==", "c", 0), "then", "else_")
+    then = f.block("then")
+    then.assign("then", 0)
+    then.jmp("join")
+    els = f.block("else_")
+    els.assign("else_", 0)
+    els.jmp("join")
+    join = f.block("join")
+    join.assign("join", 0)
+    join.ret()
+    pb.thread("f")
+    return pb.build().function("f")
+
+
+def looped():
+    pb = ProgramBuilder()
+    f = pb.function("f")
+    entry = f.block("entry")
+    entry.assign("entry", 0)
+    entry.jmp("loop")
+    loop = f.block("loop")
+    loop.assign("loop", 0)
+    loop.be(binop("<", "i", 3), "body", "end")
+    body = f.block("body")
+    body.assign("body", 0)
+    body.jmp("loop")
+    end = f.block("end")
+    end.assign("end", 0)
+    end.ret()
+    pb.thread("f")
+    return pb.build().function("f")
+
+
+def test_forward_reaching_labels_diamond():
+    """Forward: the labels control passed through before each block."""
+    result = solve(diamond(), ReachingLabels(Direction.FORWARD))
+    assert result.entry["entry"] == frozenset()
+    assert result.entry["then"] == frozenset({"entry"})
+    assert result.entry["join"] == frozenset({"entry", "then", "else_"})
+
+
+def test_forward_fixpoint_in_loop():
+    result = solve(looped(), ReachingLabels(Direction.FORWARD))
+    assert result.entry["loop"] == frozenset({"entry", "loop", "body"})
+    assert result.entry["end"] == frozenset({"entry", "loop", "body"})
+
+
+def test_backward_reachable_labels():
+    """Backward: the labels reachable from each block's exit."""
+    result = solve(diamond(), ReachingLabels(Direction.BACKWARD))
+    assert result.exit["join"] == frozenset()
+    assert result.exit["then"] == frozenset({"join"})
+    assert result.exit["entry"] == frozenset({"then", "else_", "join"})
+
+
+def test_backward_fixpoint_in_loop():
+    result = solve(looped(), ReachingLabels(Direction.BACKWARD))
+    assert "loop" in result.exit["body"]
+    assert "body" in result.exit["loop"]
+    assert "end" in result.exit["loop"]
+
+
+class _Flat(Domain[FlatValue]):
+    def bottom(self):
+        return FLAT_BOT
+
+    def boundary(self):
+        return FLAT_TOP
+
+    def join(self, a, b):
+        return flat_join(a, b)
+
+
+def test_domain_leq_derived_from_join():
+    domain = _Flat()
+    assert domain.leq(FLAT_BOT, flat_const(1))
+    assert domain.leq(flat_const(1), FLAT_TOP)
+    assert not domain.leq(FLAT_TOP, flat_const(1))
+    assert not domain.leq(flat_const(1), flat_const(2))
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +348,9 @@ def test_constants_domain_matches_value_analysis():
     via_engine = solve(program.function("f"), ConstantsDomain())
     via_api = value_analysis(program, "f")
     for label in ("entry", "t", "e", "j"):
-        assert via_engine.entry[label] == via_api.entry_envs[label]
+        assert via_engine.entry[label] == via_api.entry[label]
     # `s` joins #1 ⊔ #2 = ⊤ at the join block (no edge refinement).
-    assert via_api.entry_envs["j"].get("s").is_top
+    assert via_api.entry["j"].get("s").is_top
 
 
 # ---------------------------------------------------------------------------
@@ -345,3 +471,61 @@ def test_constants_domain_replay_offsets():
     assert facts[1].get("r").value == 1
     assert facts[2].get("r").value == 2
     assert result.at("entry", 3).get("r").value == 6
+
+
+# ---------------------------------------------------------------------------
+# Block replay and lazy widening points
+# ---------------------------------------------------------------------------
+
+
+_ANALYSES = {
+    "value": lambda p, f: value_analysis(p, f, entry_env_for(p, f)),
+    "availability": lambda p, f: available_analysis(p, f),
+    "liveness": liveness_analysis,
+    "copies": copy_analysis,
+}
+
+
+@pytest.mark.parametrize("analysis", sorted(_ANALYSES))
+def test_before_instructions_replays_every_point(analysis):
+    """One replay per block lists ``len(instrs) + 1`` points and agrees
+    with the per-point ``at`` — for the forward domains and for the
+    backward liveness alike."""
+    for test in LITMUS_SUITE.values():
+        program = test.program
+        for func, heap in program.functions:
+            result = _ANALYSES[analysis](program, func)
+            for label, block in heap.blocks:
+                facts = result.before_instructions(label)
+                assert len(facts) == len(block.instrs) + 1
+                for offset, fact in enumerate(facts):
+                    assert fact == result.at(label, offset), (test.name, label, offset)
+
+
+def test_finite_domains_never_compute_dominators(monkeypatch):
+    """Liveness and availability converge on a loop before any join count
+    passes the widening delay, so no back edges (hence no dominators) are
+    ever computed."""
+
+    def refuse(self):
+        raise AssertionError("dominators computed")
+
+    monkeypatch.setattr(Cfg, "dominators", refuse)
+    pb = ProgramBuilder()
+    f = pb.function("f")
+    entry = f.block("entry")
+    entry.load("r", "a", "na")
+    entry.jmp("loop")
+    loop = f.block("loop")
+    loop.be(binop("<", "i", 3), "body", "end")
+    body = f.block("body")
+    body.assign("i", binop("+", "i", 1))
+    body.load("s", "a", "na")
+    body.jmp("loop")
+    end = f.block("end")
+    end.print_("i")
+    end.ret()
+    pb.thread("f")
+    program = pb.build()
+    assert "i" in liveness_analysis(program, "f").entry["loop"].regs
+    assert ("load", "r", "a") in available_analysis(program, "f").entry["body"]
