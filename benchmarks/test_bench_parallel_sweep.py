@@ -1,4 +1,4 @@
-"""E-PERF: the parallel sweep engine, hash-consing, and result cache.
+"""E-PERF: the parallel sweep engine, hash-consing, and the verdict cache.
 
 Three measurements, each emitting a ``BENCH`` json line:
 
@@ -28,11 +28,12 @@ from pathlib import Path
 from benchmarks.conftest import report
 from repro.litmus.library import LITMUS_SUITE
 from repro.litmus.spec import run_spec_file
-from repro.perf.cache import ResultCache, behavior_digest
 from repro.perf.pool import SweepJob, run_sweep
 from repro.semantics.exploration import Explorer, behaviors
 from repro.semantics.promises import SyntacticPromises
 from repro.semantics.thread import SemanticsConfig
+from repro.semantics.version import behavior_digest
+from repro.serve.store import ContentStore
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples" / "litmus"
 
@@ -104,16 +105,16 @@ def test_warm_cache_skips_reexploration(tmp_path):
     assert len(paths) >= 10
     root = str(tmp_path / "cache")
 
-    cold = ResultCache(root)
+    cold = ContentStore(root)
     started = time.perf_counter()
     for path in paths:
-        run_spec_file(path, cache=cold)
+        run_spec_file(path, store=cold)
     cold_secs = time.perf_counter() - started
 
-    warm = ResultCache(root)
+    warm = ContentStore(root)
     started = time.perf_counter()
     for path in paths:
-        run_spec_file(path, cache=warm)
+        run_spec_file(path, store=warm)
     warm_secs = time.perf_counter() - started
 
     hit_rate = warm.hits / len(paths)

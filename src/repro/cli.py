@@ -25,8 +25,8 @@ Performance (``docs/performance.md``): the sweep commands — ``litmus``,
 per-program work across worker processes (results are aggregated in
 program order, so output is identical at any parallelism) and
 ``--cache DIR`` to reuse exhaustively-proved verdicts across runs from a
-persistent on-disk cache; ``validate`` and ``races`` accept multiple
-files.  Under ``--jobs``, a ``--deadline`` still bounds the *whole*
+persistent on-disk store (the one ``serve --store`` uses, see
+:mod:`repro.jobs`); ``validate`` and ``races`` accept multiple files.  Under ``--jobs``, a ``--deadline`` still bounds the *whole*
 sweep's wall clock.  ``--por {none,fusion,dpor}`` selects the
 partial-order reduction (``explore`` defaults to ``dpor``, other
 commands to ``none``); ``explore --stats`` prints certification-cache,
@@ -55,65 +55,26 @@ import sys
 from dataclasses import replace as _dc_replace
 from typing import Any, Dict, List, Optional
 
-from repro.lang.parser import ParseError, parse_program
+from repro.jobs import (
+    OPTIMIZER_CHOICES,
+    OPTIMIZERS,
+    cached_job,
+    job_config,
+    load_source,
+    semantics_config,
+)
+from repro.jobs import get_optimizer as _optimizer
+from repro.lang.parser import ParseError
 from repro.lang.printer import format_program
 from repro.lang.syntax import Program
-from repro.opt.base import Optimizer, compose
-from repro.opt.cleanup import Cleanup
-from repro.opt.unroll import Peel
-from repro.opt.constprop import ConstProp
-from repro.opt.copyprop import CopyProp
-from repro.opt.cse import CSE
-from repro.opt.dce import DCE
-from repro.opt.licm import LICM, LInv
-from repro.opt.merge import Merge
-from repro.opt.reorder import Reorder
-from repro.opt.unused_read import UnusedRead
-from repro.races.rwrace import rw_races
-from repro.races.tiered import check_races_tiered
-from repro.races.wwrf import ww_nprf, ww_rf
+from repro.litmus.spec import judge_spec
 from repro.robust.budget import Budget
 from repro.robust.checkpoint import CheckpointError
 from repro.robust.confidence import Confidence, exit_code
 from repro.semantics.events import EVENT_DONE, format_trace
-from repro.semantics.exploration import ExplorationSession
-from repro.semantics.promises import SyntacticPromises
 from repro.semantics.random_run import random_run
 from repro.semantics.thread import SemanticsConfig
 from repro.semantics.witness import find_witness
-from repro.sim.validate import validate_optimizer
-
-OPTIMIZERS = {
-    "constprop": ConstProp,
-    "dce": DCE,
-    "cse": CSE,
-    "licm": LICM,
-    "linv": LInv,
-    "cleanup": Cleanup,
-    "copyprop": CopyProp,
-    "peel": Peel,
-    "reorder": Reorder,
-    "merge": Merge,
-    "unused-read": UnusedRead,
-}
-
-
-def _load_source(source: str, structured: bool = False) -> Program:
-    """Parse program text: CSimpRTL by default, CSimp when ``structured``.
-
-    The service daemon uses this directly — its jobs arrive as source
-    text over HTTP, never as file paths.
-    """
-    try:
-        if structured:
-            from repro.csimp import lower_program, parse_csimp
-
-            return lower_program(parse_csimp(source))
-        return parse_program(source)
-    except ValueError as exc:
-        # Constructor validation (e.g. an unresolved jump target) fires
-        # during parsing; surface it like a parse error, not a traceback.
-        raise ParseError(str(exc)) from exc
 
 
 def _load(path: str, structured: bool = False) -> Program:
@@ -121,59 +82,26 @@ def _load(path: str, structured: bool = False) -> Program:
     surface syntax with ``--csimp`` or for ``*.csimp`` files."""
     with open(path) as handle:
         source = handle.read()
-    return _load_source(source, structured or path.endswith(".csimp"))
+    return load_source(source, structured or path.endswith(".csimp"))
 
 
 def _config(args: argparse.Namespace) -> SemanticsConfig:
-    kwargs = {}
-    if getattr(args, "promises", 0):
-        kwargs["promise_oracle"] = SyntacticPromises(
-            budget=args.promises, max_outstanding=args.promises
-        )
     por = getattr(args, "por", None)
     if por is None:
         por = getattr(args, "por_default", "none")
-    if por == "fusion":
-        kwargs["fuse_local_steps"] = True
-        kwargs["por"] = "fusion"
-    elif por == "dpor":
-        kwargs["por"] = "dpor"
-    if getattr(args, "por_conservative", False):
-        kwargs["por_conservative"] = True
-    if getattr(args, "max_states", None) is not None:
-        kwargs["max_states"] = args.max_states
+    config = semantics_config(
+        promises=getattr(args, "promises", 0),
+        por=por,
+        por_conservative=getattr(args, "por_conservative", False),
+        max_states=getattr(args, "max_states", None),
+    )
     deadline = getattr(args, "deadline", None)
     memory_mb = getattr(args, "memory_mb", None)
     if deadline is not None or memory_mb is not None:
-        kwargs["budget"] = Budget(deadline_seconds=deadline, memory_mb=memory_mb)
-    return SemanticsConfig(**kwargs)
-
-
-def _open_cache(cache_root: Optional[str]):
-    """A :class:`repro.perf.cache.ResultCache` for ``--cache DIR`` (or None)."""
-    if not cache_root:
-        return None
-    from repro.perf.cache import ResultCache
-
-    return ResultCache(cache_root)
-
-
-def _budgeted(config: SemanticsConfig, budget: Optional[Budget]) -> SemanticsConfig:
-    """Attach a per-job budget (the sweep pool's remaining-deadline split)."""
-    return config if budget is None else _dc_replace(config, budget=budget)
-
-
-def _optimizer(name: str) -> Optimizer:
-    if name == "pipeline":
-        return compose(
-            compose(compose(compose(ConstProp(), CSE()), CopyProp()), DCE()),
-            Cleanup(),
+        config = _dc_replace(
+            config, budget=Budget(deadline_seconds=deadline, memory_mb=memory_mb)
         )
-    factory = OPTIMIZERS.get(name)
-    if factory is None:
-        raise SystemExit(f"unknown optimizer {name!r}; choose from "
-                         f"{sorted(OPTIMIZERS) + ['pipeline']}")
-    return factory() if not isinstance(factory, Optimizer) else factory
+    return config
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
@@ -250,89 +178,61 @@ def cmd_explore(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_file_sweep(files, fn, job_args, jobs=1, budget=None):
-    """Run one per-file case function over many files.
-
-    Returns ``[(name, ok, record, error), ...]`` in sorted-name order.
-    The serial, budget-free path calls ``fn`` directly so parse/IO errors
-    keep their historical exit-2 route through :func:`main`; with
-    ``--jobs`` or a budget it goes through the sweep pool, which captures
-    per-file faults and splits the sweep-wide deadline across jobs.
-    """
-    if jobs <= 1 and budget is None:
-        return [(path, True, fn(*job_args(path)), None) for path in files]
-    from repro.perf.pool import SweepJob, run_sweep
-
-    sweep = run_sweep(
-        [SweepJob(path, fn, job_args(path)) for path in files],
-        jobs_n=jobs,
-        budget=budget,
-    )
-    return [(o.name, o.ok, o.value, o.error) for o in sweep.outcomes]
-
-
-def _races_file_case(
+def _file_case(
+    kind: str,
     path: str,
-    csimp: bool,
-    static: bool,
-    np: bool,
-    config: SemanticsConfig,
+    options: Dict[str, Any],
+    config: Optional[SemanticsConfig],
     cache_root: Optional[str],
     budget: Optional[Budget] = None,
 ) -> Dict[str, Any]:
-    """Race-check one file (module-level so the sweep pool can run it)."""
-    config = _budgeted(config, budget)
-    cache = _open_cache(cache_root)
-    kind = f"races:static={int(static)}:np={int(np)}"
-    source_text = None
-    if cache is not None:
-        with open(path) as handle:
-            source_text = handle.read()
-        payload = cache.lookup(source_text, config, kind)
-        if payload is not None:
-            return dict(payload, cached=True)
-    program = _load(path, csimp)
-    lines: List[str] = []
-    if static:
-        # The three-tier ladder: static rw and ww tiers first, one shared
-        # exploration only for whatever they leave inconclusive.
-        ladder = check_races_tiered(program, config, nonpreemptive=np)
-        report = ladder.ww
-        lines.append(f"static rw tier: {ladder.static_rw}")
-        lines.append(f"static tier: {ladder.static_ww}")
-        lines.append(f"ww-RF: {report}")
-        witnesses = ladder.rw.witnesses
-    else:
-        check = ww_nprf if np else ww_rf
-        session = ExplorationSession(config)
-        report = check(program, config, session)
-        lines.append(f"ww-RF: {report}")
-        witnesses = rw_races(program, config, session=session)
-    if witnesses:
-        lines.append("read-write races:")
-        for witness in witnesses:
-            lines.append(
-                f"  thread {witness.tid} na-reads {witness.loc!r} unobserved write"
-            )
-    else:
-        lines.append("read-write races: none")
-    record = {
-        "lines": lines,
-        "race_free": report.race_free,
-        "exhaustive": report.exhaustive,
-        "confidence": str(report.confidence),
-        "cached": False,
-    }
-    if cache is not None:
-        cache.store(source_text, config, kind, record, exhaustive=report.exhaustive)
-    return record
+    """Run one job on one file (module-level so the sweep pool can run it).
+
+    ``config`` is ``None`` for litmus files, whose ``//!`` directives
+    select the semantics.  With ``--cache DIR`` the verdict comes from,
+    and goes to, the shared store (see :mod:`repro.jobs`).
+    """
+    with open(path) as handle:
+        source = handle.read()
+    if path.endswith(".csimp"):
+        options = dict(options, csimp=True)
+    if config is None:
+        config = job_config(kind, source)
+    if budget is not None:  # the sweep pool's share of the sweep deadline
+        config = _dc_replace(config, budget=budget)
+    store = None
+    if cache_root:
+        from repro.serve.store import ContentStore
+
+        store = ContentStore(cache_root)
+    return cached_job(store, kind, source, options, config)
 
 
-def _print_races_record(record: Dict[str, Any], prefix: str = "") -> None:
-    for line in record["lines"]:
-        print(prefix + line)
-    if record["race_free"] and not record["exhaustive"]:
-        print(prefix + "WARNING: exploration TRUNCATED — race freedom not proved")
+def _run_file_sweep(kind, files, options, config, args, budget=None):
+    """Run one job kind over many files.
+
+    Returns ``[(name, ok, record, error), ...]`` in sorted-name order.
+    The serial, budget-free path calls the case directly so parse/IO
+    errors keep their historical exit-2 route through :func:`main`; with
+    ``--jobs`` or a budget it goes through the sweep pool, which captures
+    per-file faults and splits the sweep-wide deadline across jobs.
+    """
+    if args.jobs <= 1 and budget is None:
+        return [
+            (path, True, _file_case(kind, path, options, config, args.cache), None)
+            for path in files
+        ]
+    from repro.perf.pool import SweepJob, run_sweep
+
+    sweep = run_sweep(
+        [
+            SweepJob(path, _file_case, (kind, path, options, config, args.cache))
+            for path in files
+        ],
+        jobs_n=args.jobs,
+        budget=budget,
+    )
+    return [(o.name, o.ok, o.value, o.error) for o in sweep.outcomes]
 
 
 def cmd_races(args: argparse.Namespace) -> int:
@@ -342,16 +242,8 @@ def cmd_races(args: argparse.Namespace) -> int:
     parallel.  The exit code is the worst verdict across files."""
     config = _config(args)
     files = sorted(dict.fromkeys(args.file))
-    records = _run_file_sweep(
-        files,
-        _races_file_case,
-        lambda path: (
-            path, getattr(args, "csimp", False), args.static, args.np,
-            config, args.cache,
-        ),
-        jobs=args.jobs,
-        budget=config.budget,
-    )
+    options = {"csimp": args.csimp, "np": args.np, "static": args.static}
+    records = _run_file_sweep("races", files, options, config, args, config.budget)
     failed = False
     confidences: List[Confidence] = []
     for path, ok, record, error in records:
@@ -360,8 +252,11 @@ def cmd_races(args: argparse.Namespace) -> int:
             print(f"{prefix}ERROR: {error}")
             failed = True
             continue
-        _print_races_record(record, prefix)
-        if not record["race_free"]:
+        for line in record["lines"]:
+            print(prefix + line)
+        if record["ok"] and not record["exhaustive"]:
+            print(prefix + "WARNING: exploration TRUNCATED — race freedom not proved")
+        if not record["ok"]:
             failed = True
         confidences.append(Confidence(record["confidence"]))
     if failed:
@@ -479,77 +374,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0 if lint.ok else 1
 
 
-def _validate_file_case(
-    path: str,
-    csimp: bool,
-    opt_name: str,
-    strict: bool,
-    no_wwrf: bool,
-    degrade: bool,
-    config: SemanticsConfig,
-    cache_root: Optional[str],
-    report_rw: bool = False,
-    static_certify: bool = False,
-    budget: Optional[Budget] = None,
-) -> Dict[str, Any]:
-    """Validate one file (module-level so the sweep pool can run it).
-
-    The optimizer is reconstructed by name inside the worker — cheaper
-    than pickling composed pipelines, and it keeps ``--strict`` wrapping
-    local to the process that uses it.
-    """
-    config = _budgeted(config, budget)
-    cache = _open_cache(cache_root)
-    kind = (
-        f"validate:{opt_name}:strict={int(strict)}:wwrf={int(not no_wwrf)}"
-        f":rw={int(report_rw)}:tier={int(static_certify)}"
-    )
-    source_text = None
-    if cache is not None:
-        with open(path) as handle:
-            source_text = handle.read()
-        payload = cache.lookup(source_text, config, kind)
-        if payload is not None:
-            return dict(payload, cached=True)
-    program = _load(path, csimp)
-    optimizer = _optimizer(opt_name)
-    if strict:
-        from repro.opt.base import strict_optimizer
-
-        optimizer = strict_optimizer(optimizer)
-    if degrade:
-        from repro.robust.degrade import DegradationPolicy, validate_with_degradation
-
-        policy = DegradationPolicy(budget=config.budget)
-        report = validate_with_degradation(
-            optimizer, program, config, policy,
-            check_target_wwrf=not no_wwrf,
-        )
-    elif static_certify:
-        from repro.sim.validate import validate_tiered
-
-        report = validate_tiered(
-            optimizer, program, config, check_target_wwrf=not no_wwrf,
-            report_rw=report_rw,
-        )
-    else:
-        report = validate_optimizer(
-            optimizer, program, config, check_target_wwrf=not no_wwrf,
-            report_rw=report_rw,
-        )
-    record = {
-        "report": str(report),
-        "ok": report.ok,
-        "exhaustive": report.exhaustive,
-        "confidence": str(report.confidence),
-        "method": getattr(report, "method", "exploration"),
-        "cached": False,
-    }
-    if cache is not None:
-        cache.store(source_text, config, kind, record, exhaustive=report.exhaustive)
-    return record
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     """``validate`` — run an optimizer and translation-validate it.
 
@@ -563,17 +387,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
     """
     config = _config(args)
     files = sorted(dict.fromkeys(args.file))
-    records = _run_file_sweep(
-        files,
-        _validate_file_case,
-        lambda path: (
-            path, getattr(args, "csimp", False), args.opt, args.strict,
-            args.no_wwrf, args.degrade, config, args.cache,
-            getattr(args, "rw", False), getattr(args, "static_tier", False),
-        ),
-        jobs=args.jobs,
-        budget=config.budget,
-    )
+    options = {
+        "opt": args.opt, "csimp": args.csimp, "strict": args.strict,
+        "no_wwrf": args.no_wwrf, "degrade": args.degrade, "rw": args.rw,
+        "static_tier": args.static_tier,
+    }
+    records = _run_file_sweep("validate", files, options, config, args, config.budget)
     failed = False
     confidences: List[Confidence] = []
     for path, ok, record, error in records:
@@ -582,9 +401,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
             print(f"{prefix}ERROR: {error}")
             failed = True
             continue
-        print(f"{prefix}{record['report']}")
+        print(f"{prefix}{record['detail']}")
         if args.show:
-            program = _load(path, getattr(args, "csimp", False))
+            program = _load(path, args.csimp)
             optimizer = _optimizer(args.opt)
             print()
             print(format_program(optimizer.run(program)))
@@ -656,6 +475,11 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     budget = None
     if args.deadline is not None:
         budget = Budget(deadline_seconds=args.deadline)
+    store = None
+    if args.cache:
+        from repro.serve.store import ContentStore
+
+        store = ContentStore(args.cache)
     report = fuzz_optimizer(
         optimizer,
         seeds,
@@ -663,7 +487,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         check_wwrf=not args.no_wwrf,
         check_machine_equivalence=args.check_equivalence,
         jobs=args.jobs,
-        cache=_open_cache(args.cache),
+        store=store,
         budget=budget,
     )
     print(report)
@@ -671,23 +495,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         print(f"--- {failure} ---")
         print(failure.source_text)
     return 0 if report.ok else 1
-
-
-def _litmus_case(
-    path: str, cache_root: Optional[str], budget: Optional[Budget] = None
-) -> Dict[str, Any]:
-    """Check one spec file (module-level so the sweep pool can run it)."""
-    from repro.litmus.spec import run_spec_file
-
-    cache = _open_cache(cache_root)
-    hits_before = cache.hits if cache is not None else 0
-    result = run_spec_file(path, cache=cache, budget=budget)
-    return {
-        "result": str(result),
-        "ok": result.ok,
-        "observed": [list(o) for o in result.observed],
-        "cached": cache is not None and cache.hits > hits_before,
-    }
 
 
 def cmd_litmus(args: argparse.Namespace) -> int:
@@ -702,13 +509,7 @@ def cmd_litmus(args: argparse.Namespace) -> int:
     if args.deadline is not None:
         budget = Budget(deadline_seconds=args.deadline)
     files = sorted(dict.fromkeys(args.files))
-    records = _run_file_sweep(
-        files,
-        _litmus_case,
-        lambda path: (path, args.cache),
-        jobs=args.jobs,
-        budget=budget,
-    )
+    records = _run_file_sweep("litmus", files, {}, None, args, budget)
     ok = True
     cached = 0
     for path, job_ok, record, error in records:
@@ -716,13 +517,14 @@ def cmd_litmus(args: argparse.Namespace) -> int:
             print(f"{path}: ERROR {error}")
             ok = False
             continue
-        print(f"{path}: {record['result']}")
+        result = judge_spec(record["failures"], record["observed"], record["exhaustive"])
+        print(f"{path}: {result}")
         cached += record["cached"]
-        if not record["ok"]:
+        if not result.ok:
             ok = False
         if args.show_outcomes:
-            for outcome in record["observed"]:
-                print(f"  observed {tuple(outcome)}")
+            for outcome in result.observed:
+                print(f"  observed {outcome}")
     if args.cache:
         print(f"cache: {cached}/{len(files)} files answered from {args.cache}")
     return 0 if ok else 1
@@ -775,8 +577,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "processes (default 1 = serial; output is "
                             "identical at any parallelism)")
         p.add_argument("--cache", metavar="DIR", default=None,
-                       help="persistent result cache: reuse exhaustively-"
-                            "proved verdicts for unchanged programs")
+                       help="persistent verdict store (shared with serve "
+                            "--store): reuse exhaustively-proved verdicts "
+                            "for unchanged programs")
 
     def common(p: argparse.ArgumentParser, multi: bool = False) -> None:
         if multi:
@@ -854,10 +657,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="optimize + translation-validate")
     common(p, multi=True)
     sweep_options(p)
-    p.add_argument("--opt", default="pipeline",
-                   help="constprop | dce | cse | licm | linv | cleanup | "
-                        "peel | reorder | copyprop | merge | unused-read | "
-                        "pipeline")
+    p.add_argument("--opt", default="pipeline", choices=OPTIMIZER_CHOICES,
+                   help="the optimizer to validate (default: pipeline)")
     p.add_argument("--static-tier", action="store_true",
                    help="tiered validation: run the static certifier "
                         "first (zero states on CERTIFIED), explore only "
@@ -895,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="differential fuzzing of an optimizer")
     sweep_options(p)
-    p.add_argument("--opt", default="pipeline")
+    p.add_argument("--opt", default="pipeline", choices=OPTIMIZER_CHOICES)
     p.add_argument("--seeds", default="0:25", metavar="LO:HI")
     p.add_argument("--deadline", type=float, default=None, metavar="SECS",
                    help="wall-clock budget for the whole campaign")

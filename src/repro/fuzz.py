@@ -20,13 +20,12 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.jobs import cached_job
 from repro.lang.printer import format_program
 from repro.litmus.generator import GeneratorConfig, random_wwrf_program
 from repro.opt.base import Optimizer
 from repro.robust.budget import Budget
 from repro.robust.confidence import Confidence
-from repro.semantics.exploration import behaviors, np_behaviors
-from repro.semantics.promises import SyntacticPromises
 from repro.semantics.thread import SemanticsConfig
 from repro.sim.validate import ValidationReport, validate_optimizer
 
@@ -66,7 +65,7 @@ class FuzzReport:
     elapsed_seconds: float
     equivalence_budget_misses: int = 0
     confidence: Confidence = Confidence.PROVED
-    #: Seeds answered from the persistent result cache (``cache=``).
+    #: Seeds answered from the verdict store (``store=``).
     cache_hits: int = 0
 
     @property
@@ -84,93 +83,30 @@ class FuzzReport:
         )
 
 
-def _fuzz_kind(
-    optimizer: Optimizer, check_wwrf: bool, check_machine_equivalence: bool,
-    equivalence_config: SemanticsConfig,
-) -> str:
-    """The result-cache namespace for one campaign shape: the optimizer and
-    every check toggle participate, so differently-configured campaigns
-    never share verdicts."""
-    return (
-        f"fuzz:{optimizer.name}:wwrf={int(check_wwrf)}"
-        f":eq={int(check_machine_equivalence)}"
-        f":pb={equivalence_config.promise_budget}"
-    )
-
-
 def _fuzz_case(
     optimizer: Optimizer,
     seed: int,
     generator_config: GeneratorConfig,
     config: SemanticsConfig,
-    check_wwrf: bool,
-    check_machine_equivalence: bool,
-    equivalence_config: SemanticsConfig,
-    cache=None,
+    options: Dict[str, Any],
+    store=None,
     budget: Optional[Budget] = None,
 ) -> Dict[str, Any]:
     """Validate one seed; module-level so the sweep pool can dispatch it.
 
-    Returns a plain JSON-shaped record (also the persistent-cache payload):
-    exhaustively-verified records are reused on later runs of the same
-    campaign shape without re-exploring.
+    The check is the ``validate`` job of :mod:`repro.jobs` (with the
+    Thm 4.1 spot check when ``options["equivalence"]`` is set), so an
+    exhaustively verified seed is answered from ``store`` on later runs
+    of the same campaign shape — and shares verdicts with
+    ``repro validate --cache`` and the service.
     """
     # Per-case RNG discipline: the program is a pure function of the
     # seed, so a FuzzFailure's seed alone replays it exactly.
-    program = random_wwrf_program(seed, generator_config)
-    text = format_program(program)
-    kind = _fuzz_kind(optimizer, check_wwrf, check_machine_equivalence, equivalence_config)
-    if cache is not None:
-        payload = cache.lookup(text, config, kind)
-        if payload is not None:
-            return dict(payload, cached=True)
+    text = format_program(random_wwrf_program(seed, generator_config))
     if budget is not None:
         config = replace(config, budget=budget)
-
-    report = validate_optimizer(
-        optimizer, program, config, check_target_wwrf=check_wwrf
-    )
-    record: Dict[str, Any] = {
-        "seed": seed,
-        "changed": report.changed,
-        "definitive": report.refinement.definitive,
-        "ok": report.ok,
-        "reason": None if report.ok else str(report),
-        "source_text": None if report.ok else text,
-        "confidence": str(report.confidence),
-        "budget_miss": False,
-        "exhaustive": report.exhaustive,
-        "cached": False,
-    }
-    if (
-        check_machine_equivalence
-        and record["definitive"]
-        and record["ok"]
-    ):
-        interleaving = behaviors(program, equivalence_config)
-        nonpreemptive = np_behaviors(program, equivalence_config)
-        record["exhaustive"] = (
-            record["exhaustive"]
-            and interleaving.exhaustive
-            and nonpreemptive.exhaustive
-        )
-        if interleaving.exhaustive and nonpreemptive.exhaustive:
-            if not nonpreemptive.traces <= interleaving.traces:
-                # This direction holds at ANY promise budget: a genuine
-                # soundness violation of the non-preemptive machine.
-                record["ok"] = False
-                record["reason"] = (
-                    "Thm 4.1 violation: NP produced a behavior the "
-                    "interleaving machine cannot"
-                )
-                record["source_text"] = text
-            elif interleaving.traces != nonpreemptive.traces:
-                # The equality direction needs a budget covering each
-                # block's writes; count, don't fail.
-                record["budget_miss"] = True
-    if cache is not None:
-        cache.store(text, config, kind, record, exhaustive=record["exhaustive"])
-    return record
+    record = cached_job(store, "validate", text, options, config, optimizer)
+    return dict(record, seed=seed, source_text=text)
 
 
 def fuzz_optimizer(
@@ -182,7 +118,7 @@ def fuzz_optimizer(
     check_machine_equivalence: bool = False,
     equivalence_promise_budget: int = 2,
     jobs: int = 1,
-    cache=None,
+    store=None,
     budget: Optional[Budget] = None,
 ) -> FuzzReport:
     """Run a fuzz campaign; see module docstring for what is checked.
@@ -196,8 +132,8 @@ def fuzz_optimizer(
 
     ``jobs`` fans seeds across worker processes
     (:func:`repro.perf.pool.run_sweep`); aggregation is seed-ordered, so
-    the report is identical at any parallelism.  ``cache`` is an optional
-    :class:`repro.perf.cache.ResultCache` reusing exhaustively-verified
+    the report is identical at any parallelism.  ``store`` is an optional
+    :class:`repro.serve.store.ContentStore` reusing exhaustively-verified
     per-seed verdicts across runs; ``budget`` bounds the whole campaign's
     wall clock.
     """
@@ -209,13 +145,11 @@ def fuzz_optimizer(
     # footprints); graph-scanning sub-checks and the non-preemptive
     # machine downgrade themselves and record why.
     config = config or SemanticsConfig(por="dpor")
-    equivalence_config = SemanticsConfig(
-        promise_oracle=SyntacticPromises(
-            budget=equivalence_promise_budget,
-            max_outstanding=equivalence_promise_budget,
-        ),
-        por="dpor",
-    )
+    options = {
+        "opt": optimizer.name,
+        "no_wwrf": not check_wwrf,
+        "equivalence": equivalence_promise_budget if check_machine_equivalence else 0,
+    }
     started = time.monotonic()
     seed_list = list(seeds)
     sweep = run_sweep(
@@ -223,16 +157,7 @@ def fuzz_optimizer(
             SweepJob(
                 name=f"seed-{seed:010d}",
                 fn=_fuzz_case,
-                args=(
-                    optimizer,
-                    seed,
-                    generator_config,
-                    config,
-                    check_wwrf,
-                    check_machine_equivalence,
-                    equivalence_config,
-                    cache,
-                ),
+                args=(optimizer, seed, generator_config, config, options, store),
             )
             for seed in seed_list
         ],
@@ -265,10 +190,10 @@ def fuzz_optimizer(
             continue
         if not record["ok"]:
             failures.append(
-                FuzzFailure(record["seed"], record["reason"], record["source_text"] or "")
+                FuzzFailure(record["seed"], record["detail"], record["source_text"])
             )
             continue
-        if record["budget_miss"]:
+        if record.get("budget_miss"):
             budget_misses += 1
 
     return FuzzReport(

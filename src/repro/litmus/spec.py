@@ -20,14 +20,16 @@ single self-contained artifact::
 
 ``//! promises: N`` selects a syntactic promise oracle with budget ``N``.
 ``check_spec`` / ``run_spec_file`` evaluate a spec; the CLI exposes it as
-``python -m repro litmus FILE``.
+``python -m repro litmus FILE``.  ``spec_failures`` judges the clauses
+alone (the service's bounded answers); ``judge_spec`` adds the rule that a
+truncated run is not definitive.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.lang.parser import parse_program
 from repro.lang.syntax import Program
@@ -40,7 +42,8 @@ Outcome = Tuple[int, ...]
 
 @dataclass(frozen=True)
 class LitmusSpec:
-    """A program plus its outcome assertions."""
+    """A program plus its outcome assertions (``program`` is ``None`` in
+    a :func:`spec_header`)."""
 
     program: Program
     exists: Tuple[Outcome, ...] = ()
@@ -79,15 +82,8 @@ class SpecResult:
         return "spec FAILED: " + "; ".join(self.failures)
 
 
-def check_spec(spec: LitmusSpec, config: Optional[SemanticsConfig] = None) -> SpecResult:
-    """Evaluate a litmus spec against the exhaustive behavior set.
-
-    ``config`` overrides the spec's own configuration (used to attach a
-    runtime budget without disturbing the semantics knobs the spec's
-    directives selected).
-    """
-    result = behaviors(spec.program, config if config is not None else spec.config())
-    observed = frozenset(result.outputs())
+def spec_failures(spec: LitmusSpec, observed: FrozenSet[Outcome]) -> List[str]:
+    """The spec clauses an outcome set violates (empty when all hold)."""
     failures: List[str] = []
     for outcome in spec.exists:
         if outcome not in observed:
@@ -99,9 +95,31 @@ def check_spec(spec: LitmusSpec, config: Optional[SemanticsConfig] = None) -> Sp
         failures.append(
             f"outcome set {sorted(observed)} differs from declared {sorted(spec.only)}"
         )
-    if not result.exhaustive:
+    return failures
+
+
+def judge_spec(
+    failures: Iterable[str], observed: Iterable[Sequence[int]], exhaustive: bool
+) -> SpecResult:
+    """The definitive verdict over clause ``failures``: a truncated run
+    fails too, because an unseen outcome may lie past the cut."""
+    failures = list(failures)
+    if not exhaustive:
         failures.append("exploration truncated: verdict not definitive")
-    return SpecResult(not failures, tuple(failures), tuple(sorted(observed)), result.exhaustive)
+    outcomes = tuple(sorted(tuple(o) for o in observed))
+    return SpecResult(not failures, tuple(failures), outcomes, exhaustive)
+
+
+def check_spec(spec: LitmusSpec, config: Optional[SemanticsConfig] = None) -> SpecResult:
+    """Evaluate a litmus spec against the exhaustive behavior set.
+
+    ``config`` overrides the spec's own configuration (used to attach a
+    runtime budget without disturbing the semantics knobs the spec's
+    directives selected).
+    """
+    result = behaviors(spec.program, config if config is not None else spec.config())
+    observed = frozenset(result.outputs())
+    return judge_spec(spec_failures(spec, observed), observed, result.exhaustive)
 
 
 # ---------------------------------------------------------------------------
@@ -119,12 +137,9 @@ def _parse_outcome(text: str) -> Outcome:
     return tuple(int(part) for part in inner.split(","))
 
 
-def parse_spec(source: str, structured: bool = False) -> LitmusSpec:
-    """Parse a spec-annotated source file.
-
-    ``structured=True`` parses the program part as CSimp surface syntax
-    (lowered to CSimpRTL); otherwise as CSimpRTL.
-    """
+def spec_header(source: str) -> LitmusSpec:
+    """A spec source's ``//!`` directives alone (``program`` is ``None``):
+    enough for :meth:`LitmusSpec.config` without parsing the program."""
     exists: List[Outcome] = []
     forbidden: List[Outcome] = []
     only: Optional[List[Outcome]] = None
@@ -149,15 +164,8 @@ def parse_spec(source: str, structured: bool = False) -> LitmusSpec:
                 forbidden.extend(outcomes)
             else:
                 only = (only or []) + outcomes
-
-    if structured:
-        from repro.csimp import lower_program, parse_csimp
-
-        program = lower_program(parse_csimp(source.replace("//!", "//")))
-    else:
-        program = parse_program(source.replace("//!", "//"))
     return LitmusSpec(
-        program,
+        None,
         tuple(exists),
         tuple(forbidden),
         tuple(only) if only is not None else None,
@@ -166,44 +174,40 @@ def parse_spec(source: str, structured: bool = False) -> LitmusSpec:
     )
 
 
-def run_spec_file(path: str, cache=None, budget=None) -> SpecResult:
+def parse_spec(source: str, structured: bool = False) -> LitmusSpec:
+    """Parse a spec-annotated source file.
+
+    ``structured=True`` parses the program part as CSimp surface syntax
+    (lowered to CSimpRTL); otherwise as CSimpRTL.
+    """
+    header = spec_header(source)
+    if structured:
+        from repro.csimp import lower_program, parse_csimp
+
+        program = lower_program(parse_csimp(source.replace("//!", "//")))
+    else:
+        program = parse_program(source.replace("//!", "//"))
+    return replace(header, program=program)
+
+
+def run_spec_file(path: str, store=None, budget=None) -> SpecResult:
     """Parse and check a spec file (``*.csimp`` selects surface syntax).
 
-    ``cache`` is an optional :class:`repro.perf.cache.ResultCache`: a
-    previously stored *exhaustive* verdict for the identical source text
-    and configuration is returned without re-exploring (the dominant cost
-    of a litmus sweep).  Only exhaustive results are ever stored — a
-    bounded verdict is an artifact of its budget, not of the program.
-    ``budget`` attaches a runtime :class:`~repro.robust.budget.Budget` to
-    the exploration; it does not participate in the cache key.
+    ``store`` is an optional :class:`repro.serve.store.ContentStore`: a
+    verdict stored for the identical source text and configuration is
+    returned without re-exploring (the dominant cost of a litmus sweep).
+    It is the ``litmus`` job of :mod:`repro.jobs`, so the verdict is
+    shared with ``repro litmus --cache`` and the service.  ``budget``
+    attaches a runtime :class:`~repro.robust.budget.Budget` to the
+    exploration; it does not participate in the key.
     """
+    from repro.jobs import cached_job, job_config
+
     with open(path) as handle:
         source = handle.read()
-    spec = parse_spec(source, structured=path.endswith(".csimp"))
-    config = spec.config()
+    config = job_config("litmus", source)
     if budget is not None:
         config = replace(config, budget=budget)
-    if cache is not None:
-        payload = cache.lookup(source, config, "litmus")
-        if payload is not None:
-            return SpecResult(
-                ok=payload["ok"],
-                failures=tuple(payload["failures"]),
-                observed=tuple(tuple(o) for o in payload["observed"]),
-                exhaustive=payload["exhaustive"],
-            )
-    result = check_spec(spec, config)
-    if cache is not None:
-        cache.store(
-            source,
-            config,
-            "litmus",
-            {
-                "ok": result.ok,
-                "failures": list(result.failures),
-                "observed": [list(o) for o in result.observed],
-                "exhaustive": result.exhaustive,
-            },
-            exhaustive=result.exhaustive,
-        )
-    return result
+    options = {"csimp": path.endswith(".csimp")}
+    record = cached_job(store, "litmus", source, options, config)
+    return judge_spec(record["failures"], record["observed"], record["exhaustive"])

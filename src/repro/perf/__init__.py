@@ -1,6 +1,6 @@
-"""Performance subsystem: parallel sweeps, hash-consing, result caching.
+"""Performance subsystem: parallel sweeps and hash-consing.
 
-Three layers (``docs/performance.md``):
+Two layers (``docs/performance.md``):
 
 * :mod:`repro.perf.intern` — state hash-consing: precomputed structural
   hashes on the frozen state dataclasses plus intern tables for shared
@@ -9,14 +9,16 @@ Three layers (``docs/performance.md``):
   tuple hashes;
 * :mod:`repro.perf.pool`   — the process-pool sweep scheduler behind
   ``--jobs N`` on the sweep commands, with deterministic aggregation and
-  wall-clock budget propagation to workers;
-* :mod:`repro.perf.cache`  — the persistent on-disk result cache behind
-  ``--cache DIR``, keyed by SHA-256 of (program text, semantics config,
-  semantics code version).
+  wall-clock budget propagation to workers.
+
+The persistent verdict store behind ``--cache DIR`` is the service's
+:class:`repro.serve.store.ContentStore`, keyed and filled by the job
+layer (:mod:`repro.jobs`); the semantics version and digests it keys on
+live in :mod:`repro.semantics.version`.
 
 This package initializer re-exports lazily (PEP 562): :mod:`intern` is
-imported by the core state modules, so eagerly importing :mod:`pool` or
-:mod:`cache` here would create an import cycle through the semantics.
+imported by the core state modules, so eagerly importing :mod:`pool`
+here would create an import cycle through the semantics.
 """
 
 from __future__ import annotations
@@ -29,10 +31,6 @@ _SUBMODULE_EXPORTS = {
     "SweepOutcome": "repro.perf.pool",
     "SweepResult": "repro.perf.pool",
     "run_sweep": "repro.perf.pool",
-    "CacheError": "repro.perf.cache",
-    "ResultCache": "repro.perf.cache",
-    "SEMANTICS_VERSION": "repro.perf.cache",
-    "behavior_digest": "repro.perf.cache",
 }
 
 __all__ = sorted(_SUBMODULE_EXPORTS)

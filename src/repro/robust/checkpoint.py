@@ -65,7 +65,7 @@ class ExplorationCheckpoint:
     #: sleep memo, subtree summaries, and stats.  ``None`` for plain-BFS
     #: checkpoints.
     dpor: Optional[tuple] = None
-    #: The ``repro.perf.cache.SEMANTICS_VERSION`` of the code that took
+    #: The ``repro.semantics.version.SEMANTICS_VERSION`` of the code that took
     #: the snapshot (empty for checkpoints written before the field
     #: existed); resuming under any other version is refused.
     semantics_version: str = ""

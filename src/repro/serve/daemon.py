@@ -12,7 +12,8 @@ Endpoints (all JSON):
 * ``POST /v1/litmus``   — ``{"programs": [{"name", "source"}, ...]}``:
   check ``//! exists/forbidden`` specs;
 * ``POST /v1/validate`` — same shape plus ``"opt"``: run an optimizer
-  and translation-validate it;
+  and translation-validate it (an unknown ``"opt"`` is a 400 listing
+  the registered names);
 * ``POST /v1/races``    — ww-race freedom plus rw-race report;
 * ``GET /healthz``      — liveness (``ok`` | ``draining``) and queue depth;
 * ``GET /metrics``      — queue/supervisor/store counters.
@@ -44,6 +45,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.jobs import get_optimizer
 from repro.robust.confidence import Confidence
 from repro.serve.queue import QueueClosed, QueueFull, ShardedQueue
 from repro.serve.store import ContentStore
@@ -373,6 +375,8 @@ class VerificationDaemon:
             for key in ("opt", "csimp", "np", "no_wwrf")
             if key in payload
         }
+        if kind == "validate" and "opt" in options:
+            get_optimizer(options["opt"])  # ValueError (a 400) lists the choices
         specs = []
         for index, entry in enumerate(programs):
             if isinstance(entry, str):

@@ -1,12 +1,10 @@
 """Concurrency-safe content-addressed store for verification verdicts.
 
-PR 3's :class:`~repro.perf.cache.ResultCache` assumed one polite writer:
-entries were atomic, but a corrupt file raised a hard ``CacheError``
-(killing the sweep that merely *read* it), nothing ever evicted, and two
-processes racing the same directory were untested.  The verification
-service shares one store between a long-running daemon and any number of
-``--jobs N`` sweeps, so this module generalizes it into a proper
-content-addressed store:
+The one verdict store: the daemon's ``--store`` and the CLI sweeps'
+``--cache`` are both this class, keyed and filled by the job layer
+(:func:`repro.jobs.verdict_key`, :func:`repro.jobs.remember`).  One
+directory is shared between a long-running daemon and any number of
+``--jobs N`` sweeps, so the store is built for concurrent writers:
 
 * **Atomic publishes** — write-temp + ``os.replace`` with an fsync, so a
   SIGKILL at any instant leaves either the old entry or the new one on
@@ -28,8 +26,8 @@ content-addressed store:
   at memory speed; corrupt entries found during the scan are quarantined
   on the spot.
 
-Layout is inherited from the result cache: ``root/<key[:2]>/<key>.json``
-two-level fan-out.  Each file wraps its payload as
+Layout: ``root/<key[:2]>/<key>.json``, a two-level fan-out that keeps
+directories small on multi-thousand-program corpora.  Each file wraps its payload as
 ``{"payload": ..., "digest": sha256(payload)}``; the digest is over the
 canonical JSON of the payload alone, so integrity survives re-encoding.
 """

@@ -32,13 +32,21 @@ OOM workers deterministically.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.perf import cache
+from repro.jobs import (
+    JOB_KINDS,
+    get_optimizer,
+    job_config,
+    job_options,
+    load_source,
+    remember,
+    run_job,
+    verdict_key,
+)
 from repro.robust.budget import Budget
 from repro.robust.confidence import Confidence
 from repro.robust.degrade import (
@@ -49,9 +57,8 @@ from repro.robust.degrade import (
 )
 from repro.robust.isolation import STATUS_CRASHED, STATUS_OK, STATUS_OOM, ForkWorker
 from repro.robust.retry import RetryPolicy
-from repro.serve.store import ContentStore, content_key
-
-JOB_KINDS = ("litmus", "validate", "races")
+from repro.semantics.thread import SemanticsConfig
+from repro.serve.store import ContentStore
 
 #: The ladder walked across attempts: one rung per retry.
 LADDER = (RUNG_EXHAUSTIVE, RUNG_BOUNDED, RUNG_SAMPLED)
@@ -71,18 +78,24 @@ class JobSpec:
         if self.kind not in JOB_KINDS:
             raise ValueError(f"unknown job kind {self.kind!r}; one of {JOB_KINDS}")
 
+    def config(self) -> SemanticsConfig:
+        """The semantics configuration the job runs under (see
+        :func:`repro.jobs.job_config`)."""
+        try:
+            return job_config(self.kind, self.source)
+        except ValueError:
+            # A malformed ``//!`` header: the job fails in its worker and
+            # is never stored; the default still gives it a stable key.
+            return SemanticsConfig()
+
     def content_key(self) -> str:
-        """The job's content address (cache key and quarantine identity).
+        """The job's content address (store key and quarantine identity):
+        :func:`repro.jobs.verdict_key`, the key every CLI sweep uses too.
 
         The semantics version participates, so a stored verdict never
         outlives a change to the semantics that earned it.
         """
-        return content_key(
-            cache.SEMANTICS_VERSION,
-            self.kind,
-            self.source,
-            json.dumps(dict(self.options), sort_keys=True),
-        )
+        return verdict_key(self.kind, self.source, self.options, self.config())
 
 
 @dataclass(frozen=True)
@@ -219,7 +232,8 @@ class Supervisor:
         """Execute one job to a :class:`JobResult`; never raises."""
         started = time.monotonic()
         self._bump("jobs")
-        key = spec.content_key()
+        config = spec.config()
+        key = verdict_key(spec.kind, spec.source, spec.options, config)
 
         with self._lock:
             poison = self._poisoned.get(key)
@@ -241,8 +255,8 @@ class Supervisor:
                     spec.name, spec.kind,
                     ok=cached["ok"],
                     confidence=cached["confidence"],
-                    detail=cached.get("detail", ""),
-                    rung=cached.get("rung", RUNG_EXHAUSTIVE),
+                    detail=cached["detail"],
+                    rung=RUNG_EXHAUSTIVE,  # only exhaustive proofs are stored
                     cached=True,
                     elapsed_seconds=time.monotonic() - started,
                 )
@@ -263,7 +277,7 @@ class Supervisor:
                 status, value = worker.run(
                     _execute_job,
                     (
-                        spec.kind, spec.source, dict(spec.options), rung,
+                        spec.kind, spec.source, dict(spec.options), config, rung,
                         self.config.bounded_max_states, self.config.sample_runs,
                         self.config.sample_max_steps, attempt_deadline,
                         spec.name,
@@ -325,17 +339,9 @@ class Supervisor:
         # State graphs the job built (validate/races): one per distinct
         # program and machine, so reuse shows as a lower count per job.
         self._bump("explorations", verdict.get("explorations", 0))
-        if (
-            self.store is not None
-            and rung == RUNG_EXHAUSTIVE
-            and verdict.get("exhaustive", False)
-        ):
-            self.store.put(key, {
-                "ok": verdict["ok"],
-                "confidence": str(capped),
-                "detail": verdict.get("detail", ""),
-                "rung": rung,
-            })
+        # Capped below PROVED on every degraded rung, so only an
+        # exhaustive-rung proof passes the store rule.
+        remember(self.store, key, dict(verdict, confidence=str(capped)))
         return JobResult(
             spec.name, spec.kind,
             ok=verdict["ok"],
@@ -361,7 +367,7 @@ class Supervisor:
 
 # -- child-side executors -----------------------------------------------------
 #
-# These run in the forked worker.  They return plain JSON-shaped dicts
+# These run in the forked worker.  They return plain JSON-shaped records
 # (``ok`` / ``confidence`` / ``exhaustive`` / ``detail``) — the parent
 # supervises, classifies, and caps; the child only computes.
 
@@ -370,6 +376,7 @@ def _execute_job(
     kind: str,
     source: str,
     options: Dict[str, Any],
+    config: SemanticsConfig,
     rung: str,
     bounded_max_states: int,
     sample_runs: int,
@@ -388,104 +395,55 @@ def _execute_job(
     # that trip it return a truncated-but-classifiable verdict instead
     # of being SIGTERMed from outside.
     budget = Budget(deadline_seconds=max(0.05, deadline_seconds * 0.8))
+    if rung == RUNG_SAMPLED:
+        return _execute_sampled(
+            kind, source, job_options(kind, options), config, budget,
+            sample_runs, sample_max_steps,
+        )
+    config = replace(config, budget=budget)
+    if rung == RUNG_BOUNDED:
+        config = replace(config, max_states=min(config.max_states, bounded_max_states))
+    return run_job(kind, source, options, config)
+
+
+def _execute_sampled(
+    kind, source, options, config, budget, sample_runs, sample_max_steps
+) -> Dict[str, Any]:
+    """The last rung (service only): randomized runs for litmus and
+    validate jobs, the static ww analysis for race checks."""
+    from repro.robust.degrade import sampled_behaviors
+
+    def sample(program, semantics):
+        return sampled_behaviors(
+            program, semantics, runs=sample_runs, max_steps=sample_max_steps,
+            deadline_seconds=budget.deadline_seconds,
+        )
+
+    sampled = str(Confidence.SAMPLED)
     if kind == "litmus":
-        return _execute_litmus(
-            source, options, rung, budget,
-            bounded_max_states, sample_runs, sample_max_steps,
+        from repro.litmus.spec import parse_spec, spec_failures
+
+        spec = parse_spec(source, structured=options["csimp"])
+        observed = frozenset(sample(spec.program, config).outputs())
+        failures = spec_failures(spec, observed)
+        detail = (
+            f"spec {'OK' if not failures else 'FAILED'} "
+            f"({len(observed)} outcomes, {RUNG_SAMPLED})"
         )
+        if failures:
+            detail += ": " + "; ".join(failures)
+        return {"ok": not failures, "exhaustive": False, "confidence": sampled,
+                "detail": detail}
+    program = load_source(source, structured=options["csimp"])
     if kind == "validate":
-        return _execute_validate(
-            source, options, rung, budget,
-            bounded_max_states, sample_runs, sample_max_steps,
-        )
-    return _execute_races(source, options, rung, budget, bounded_max_states)
-
-
-def _spec_clauses(spec, observed) -> List[str]:
-    """Evaluate a litmus spec's clauses over an outcome set."""
-    failures: List[str] = []
-    for outcome in spec.exists:
-        if outcome not in observed:
-            failures.append(f"expected outcome {outcome} not observed")
-    for outcome in spec.forbidden:
-        if outcome in observed:
-            failures.append(f"forbidden outcome {outcome} observed")
-    if spec.only is not None and observed != frozenset(spec.only):
-        failures.append(
-            f"outcome set {sorted(observed)} differs from declared {sorted(spec.only)}"
-        )
-    return failures
-
-
-def _execute_litmus(
-    source, options, rung, budget, bounded_max_states, sample_runs, sample_max_steps
-) -> Dict[str, Any]:
-    from repro.litmus.spec import parse_spec
-    from repro.robust.degrade import sampled_behaviors
-    from repro.semantics.exploration import behaviors
-
-    spec = parse_spec(source, structured=bool(options.get("csimp")))
-    config = spec.config()
-    if rung == RUNG_SAMPLED:
-        bset = sampled_behaviors(
-            spec.program, config, runs=sample_runs, max_steps=sample_max_steps,
-            deadline_seconds=budget.deadline_seconds,
-        )
-    else:
-        config = replace(config, budget=budget)
-        if rung == RUNG_BOUNDED:
-            config = replace(
-                config, max_states=min(config.max_states, bounded_max_states)
-            )
-        bset = behaviors(spec.program, config)
-    observed = frozenset(bset.outputs())
-    failures = _spec_clauses(spec, observed)
-    detail = (
-        f"spec {'OK' if not failures else 'FAILED'} "
-        f"({len(observed)} outcomes, {rung})"
-    )
-    if failures:
-        detail += ": " + "; ".join(failures)
-    return {
-        "ok": not failures,
-        "exhaustive": bset.exhaustive,
-        "confidence": str(
-            Confidence.PROVED if bset.exhaustive else RUNG_CONFIDENCE[rung]
-        ),
-        "detail": detail,
-        "observed": [list(o) for o in sorted(observed)],
-    }
-
-
-def _execute_validate(
-    source, options, rung, budget, bounded_max_states, sample_runs, sample_max_steps
-) -> Dict[str, Any]:
-    from repro.cli import _load_source, _optimizer
-    from repro.robust.degrade import sampled_behaviors
-    from repro.semantics.thread import SemanticsConfig
-    from repro.sim.validate import validate_optimizer
-
-    program = _load_source(source, structured=bool(options.get("csimp")))
-    optimizer = _optimizer(options.get("opt", "pipeline"))
-    # DPOR by default: refinement compares behavior *sets*, which DPOR
-    # preserves; the embedded race checks downgrade themselves (see
-    # repro.semantics.exploration.graph_scan_config) and report it below.
-    config = SemanticsConfig(budget=budget, por="dpor")
-    if rung == RUNG_SAMPLED:
-        target = optimizer.run(program)
-        src = sampled_behaviors(
-            program, None, runs=sample_runs, max_steps=sample_max_steps,
-            deadline_seconds=budget.deadline_seconds,
-        )
-        tgt = src if target == program else sampled_behaviors(
-            target, None, runs=sample_runs, max_steps=sample_max_steps,
-            deadline_seconds=budget.deadline_seconds,
-        )
+        target = get_optimizer(options["opt"]).run(program)
+        src = sample(program, None)
+        tgt = src if target == program else sample(target, None)
         extra = tgt.traces - src.traces
         return {
             "ok": not extra,
             "exhaustive": False,
-            "confidence": str(Confidence.SAMPLED),
+            "confidence": sampled,
             "detail": (
                 f"sampled refinement ({len(tgt.traces)} target traces vs "
                 f"{len(src.traces)} source): "
@@ -493,78 +451,24 @@ def _execute_validate(
                    else f"{len(extra)} unmatched target traces")
             ),
         }
-    if rung == RUNG_BOUNDED:
-        config = replace(
-            config, max_states=min(config.max_states, bounded_max_states)
-        )
-    report = validate_optimizer(
-        optimizer, program, config,
-        check_target_wwrf=not options.get("no_wwrf", False),
-    )
+    # Race checks: the static thread-modular analysis — sound and cheap,
+    # but incomplete.  An inconclusive verdict is *not* an answer;
+    # raising turns it into an unanswered job rather than a guess.
+    from repro.static import analyze_ww_races
+
+    report = analyze_ww_races(program)
+    if not report.race_free and report.witnesses:
+        witnesses = "; ".join(str(w) for w in report.witnesses)
+        return {"ok": False, "exhaustive": False, "confidence": sampled,
+                "detail": f"static ww-analysis: {witnesses}"}
+    if not report.race_free:
+        raise RuntimeError("static race analysis inconclusive")
     return {
-        "ok": report.ok,
-        "exhaustive": report.exhaustive,
-        "confidence": str(report.confidence),
-        "detail": str(report),
-        "downgrade_reason": report.source_wwrf.downgrade,
-        "explorations": report.explorations,
-    }
-
-
-def _execute_races(source, options, rung, budget, bounded_max_states) -> Dict[str, Any]:
-    from repro.cli import _load_source
-    from repro.semantics.thread import SemanticsConfig
-
-    program = _load_source(source, structured=bool(options.get("csimp")))
-    nonpreemptive = bool(options.get("np"))
-    if rung == RUNG_SAMPLED:
-        # Last rung: the static thread-modular analysis — sound and
-        # cheap, but incomplete.  An inconclusive verdict is *not* an
-        # answer; raising turns it into an unanswered job rather than a
-        # guess.
-        from repro.static import analyze_ww_races
-
-        report = analyze_ww_races(program)
-        if not report.race_free and report.witnesses:
-            witnesses = "; ".join(str(w) for w in report.witnesses)
-            return {
-                "ok": False,
-                "exhaustive": False,
-                "confidence": str(Confidence.SAMPLED),
-                "detail": f"static ww-analysis: {witnesses}",
-            }
-        if not report.race_free:
-            raise RuntimeError("static race analysis inconclusive")
-        return {
-            "ok": True,
-            "exhaustive": False,
-            "confidence": str(Confidence.SAMPLED),
-            "detail": f"static ww-analysis: race-free "
-                      f"({report.checked_pairs} pairs checked)",
-        }
-    from repro.races.rwrace import rw_races
-    from repro.races.wwrf import ww_nprf, ww_rf
-    from repro.semantics.exploration import ExplorationSession
-
-    # The race checkers downgrade dpor themselves (state-graph scans need
-    # every reachable state) and record the reason on the report.
-    config = SemanticsConfig(budget=budget, por="dpor")
-    if rung == RUNG_BOUNDED:
-        config = replace(
-            config, max_states=min(config.max_states, bounded_max_states)
-        )
-    check = ww_nprf if nonpreemptive else ww_rf
-    session = ExplorationSession(config)
-    report = check(program, config, session)
-    rw = rw_races(program, config, session=session)
-    detail = f"ww-RF: {report}; rw-races: {len(rw) or 'none'}"
-    return {
-        "ok": report.race_free,
-        "exhaustive": report.exhaustive,
-        "confidence": str(report.confidence),
-        "detail": detail,
-        "downgrade_reason": report.downgrade,
-        "explorations": session.explorations,
+        "ok": True,
+        "exhaustive": False,
+        "confidence": sampled,
+        "detail": f"static ww-analysis: race-free "
+                  f"({report.checked_pairs} pairs checked)",
     }
 
 

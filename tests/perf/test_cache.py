@@ -1,9 +1,13 @@
-"""The persistent result cache: round-trips, invalidation, integrity.
+"""The persistent verdict cache: keying, round-trips, invalidation, integrity.
 
-The warm-cache round-trip (PR 3's ISSUE satellite): run a sweep with
-``--cache``, mutate exactly one program, re-run, and exactly that program
-re-explores.  Corrupt entries are quarantined and recomputed (the
-fault-tolerant-service ISSUE satellite) — the verdict is never served,
+``--cache DIR`` is a :class:`~repro.serve.store.ContentStore` filled by
+the job layer (:mod:`repro.jobs`): :func:`~repro.jobs.verdict_key` keys
+a verdict, :func:`~repro.jobs.remember` enforces the exhaustive-only
+store rule, and :func:`~repro.jobs.cached_job` answers from the store.
+
+The warm-cache round-trip: run a sweep with ``--cache``, mutate exactly
+one program, re-run, and exactly that program re-explores.  Corrupt
+entries are quarantined and recomputed — the verdict is never served,
 the evidence moves to ``root/quarantine/``, and the sweep survives;
 entries written under a different :data:`SEMANTICS_VERSION` are silent
 misses.  A writer SIGKILLed mid-publish must leave the previous entry
@@ -16,17 +20,14 @@ import multiprocessing
 import os
 import signal
 
+from repro.jobs import cached_job, remember, verdict_key
 from repro.litmus.spec import run_spec_file
-from repro.perf import cache as cache_mod
-from repro.perf.cache import (
-    ResultCache,
-    behavior_digest,
-    cache_key,
-    config_digest,
-)
+from repro.semantics import version
 from repro.semantics.exploration import behaviors
 from repro.semantics.promises import SyntacticPromises
 from repro.semantics.thread import SemanticsConfig
+from repro.semantics.version import behavior_digest, config_digest
+from repro.serve.store import ContentStore
 
 SPEC = """//! exists ({value})
 atomics x;
@@ -40,6 +41,12 @@ entry:
 threads t1;
 """
 
+PROOF = {"ok": True, "exhaustive": True, "confidence": "PROVED"}
+
+
+def _key(source="prog", kind="litmus", options=None, config=None):
+    return verdict_key(kind, source, options or {}, config or SemanticsConfig())
+
 
 def _write_specs(tmp_path, values):
     paths = []
@@ -52,12 +59,16 @@ def _write_specs(tmp_path, values):
 
 class TestKeying:
     def test_key_depends_on_program_text(self):
-        config = SemanticsConfig()
-        assert cache_key("a", config, "litmus") != cache_key("b", config, "litmus")
+        assert _key("a") != _key("b")
 
     def test_key_depends_on_kind(self):
-        config = SemanticsConfig()
-        assert cache_key("a", config, "litmus") != cache_key("a", config, "races:x")
+        assert _key("a", "litmus") != _key("a", "races")
+
+    def test_key_depends_on_options_not_their_spelling(self):
+        assert _key("a", "races", {"np": True}) != _key("a", "races")
+        # Defaults and options the kind does not read name the same job.
+        assert _key("a", "races", {"np": False, "opt": "dce"}) == _key("a", "races")
+        assert _key("a", "validate", {"opt": "pipeline"}) == _key("a", "validate")
 
     def test_config_digest_tracks_semantics_knobs(self):
         base = SemanticsConfig()
@@ -76,73 +87,72 @@ class TestKeying:
 
 class TestStoreAndLookup:
     def test_roundtrip(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        config = SemanticsConfig()
-        assert cache.lookup("prog", config, "k") is None
-        assert cache.store("prog", config, "k", {"ok": True}, exhaustive=True)
-        assert cache.lookup("prog", config, "k") == {"ok": True}
-        assert cache.stats() == {"hits": 1, "misses": 1, "stores": 1}
+        store = ContentStore(str(tmp_path))
+        assert store.get(_key()) is None
+        assert remember(store, _key(), PROOF)
+        assert store.get(_key()) == PROOF
+        assert (store.hits, store.misses, store.stores) == (1, 1, 1)
 
     def test_non_exhaustive_results_refused(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        config = SemanticsConfig()
-        assert not cache.store("prog", config, "k", {"ok": True}, exhaustive=False)
-        assert cache.lookup("prog", config, "k") is None
+        store = ContentStore(str(tmp_path))
+        assert not remember(store, _key(), dict(PROOF, exhaustive=False))
+        # An exhaustive run whose confidence was capped (a degraded rung)
+        # is not a proof either.
+        assert not remember(store, _key(), dict(PROOF, confidence="BOUNDED"))
+        assert store.get(_key()) is None
+        assert store.stores == 0
 
     def test_version_mismatch_is_silent_miss(self, tmp_path, monkeypatch):
-        cache = ResultCache(str(tmp_path))
-        config = SemanticsConfig()
-        cache.store("prog", config, "k", {"ok": True}, exhaustive=True)
+        store = ContentStore(str(tmp_path))
+        remember(store, _key(), PROOF)
         # A semantics-code bump changes the key, so the old entry is
         # simply not found — stale verdicts can never be trusted.
-        monkeypatch.setattr(cache_mod, "SEMANTICS_VERSION", "ps21-repro-999")
-        fresh = ResultCache(str(tmp_path))
-        assert fresh.lookup("prog", config, "k") is None
+        monkeypatch.setattr(version, "SEMANTICS_VERSION", "ps21-repro-999")
+        assert ContentStore(str(tmp_path)).get(_key()) is None
 
     def test_corrupt_json_is_quarantined_and_recomputed(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        config = SemanticsConfig()
-        cache.store("prog", config, "k", {"ok": True}, exhaustive=True)
-        (entry,) = glob.glob(os.path.join(str(tmp_path), "??", "*.json"))
+        (path,) = _write_specs(tmp_path, [1])
+        root = str(tmp_path / "cache")
+        assert run_spec_file(path, store=ContentStore(root)).ok
+        (entry,) = glob.glob(os.path.join(root, "??", "*.json"))
         with open(entry, "w") as handle:
             handle.write("{not json")
         # The corrupt verdict is never served: the lookup misses (the
-        # caller recomputes), the evidence moves to quarantine/, and the
+        # sweep recomputes), the evidence moves to quarantine/, and the
         # event is counted — one flipped bit no longer kills a sweep.
-        assert cache.lookup("prog", config, "k") is None
-        assert cache.quarantined == 1
-        assert not os.path.exists(entry)
+        store = ContentStore(root)
+        assert run_spec_file(path, store=store).ok
+        assert (store.hits, store.misses, store.quarantined) == (0, 1, 1)
         assert os.path.exists(
-            os.path.join(str(tmp_path), "quarantine", os.path.basename(entry))
+            os.path.join(root, "quarantine", os.path.basename(entry))
         )
-        # Recompute-and-store heals the entry.
-        cache.store("prog", config, "k", {"ok": True}, exhaustive=True)
-        assert cache.lookup("prog", config, "k") == {"ok": True}
+        # Recompute-and-store healed the entry.
+        assert store.stores == 1
+        healed = ContentStore(root)
+        assert run_spec_file(path, store=healed).ok and healed.hits == 1
 
     def test_tampered_payload_is_quarantined(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        config = SemanticsConfig()
-        cache.store("prog", config, "k", {"ok": True}, exhaustive=True)
+        store = ContentStore(str(tmp_path))
+        remember(store, _key(), PROOF)
         (entry,) = glob.glob(os.path.join(str(tmp_path), "??", "*.json"))
         with open(entry) as handle:
             blob = json.load(handle)
         blob["payload"]["ok"] = False  # flip the verdict, keep the digest
         with open(entry, "w") as handle:
             json.dump(blob, handle)
-        assert cache.lookup("prog", config, "k") is None
-        assert cache.quarantined == 1
+        assert store.get(_key()) is None
+        assert store.quarantined == 1
         assert not os.path.exists(entry)
 
     def test_truncated_entry_is_quarantined(self, tmp_path):
         from repro.robust.chaos import truncate_file
 
-        cache = ResultCache(str(tmp_path))
-        config = SemanticsConfig()
-        cache.store("prog", config, "k", {"ok": True}, exhaustive=True)
+        store = ContentStore(str(tmp_path))
+        remember(store, _key(), PROOF)
         (entry,) = glob.glob(os.path.join(str(tmp_path), "??", "*.json"))
         truncate_file(entry, fraction=0.5)
-        assert cache.lookup("prog", config, "k") is None
-        assert cache.quarantined == 1
+        assert store.get(_key()) is None
+        assert store.quarantined == 1
 
 
 def _store_then_die(root: str, payload_value: int) -> None:
@@ -150,20 +160,16 @@ def _store_then_die(root: str, payload_value: int) -> None:
     (the ``store.put`` chaos fault point) — a mid-write crash."""
     from repro.robust.chaos import FaultRule, chaos_rules
 
-    cache = ResultCache(root)
     with chaos_rules(FaultRule("store.put", kind="kill")):
-        cache.store("prog", SemanticsConfig(), "k", {"v": payload_value},
-                    exhaustive=True)
+        remember(ContentStore(root), _key(), dict(PROOF, v=payload_value))
 
 
 class TestAtomicPublish:
-    """ISSUE satellite: a SIGKILL mid-write can never publish a torn entry."""
+    """A SIGKILL mid-write can never publish a torn entry."""
 
     def test_sigkill_mid_write_leaves_old_entry_readable(self, tmp_path):
         root = str(tmp_path)
-        config = SemanticsConfig()
-        cache = ResultCache(root)
-        cache.store("prog", config, "k", {"v": 1}, exhaustive=True)
+        remember(ContentStore(root), _key(), dict(PROOF, v=1))
 
         ctx = multiprocessing.get_context("fork")
         child = ctx.Process(target=_store_then_die, args=(root, 2))
@@ -173,23 +179,20 @@ class TestAtomicPublish:
 
         # The kill landed after the temp write, before the publish: the
         # old entry must still be served, intact, with nothing quarantined.
-        fresh = ResultCache(root)
-        assert fresh.lookup("prog", config, "k") == {"v": 1}
+        fresh = ContentStore(root)
+        assert fresh.get(_key()) == dict(PROOF, v=1)
         assert fresh.quarantined == 0
 
     def test_killed_writers_stale_temp_is_swept(self, tmp_path):
         root = str(tmp_path)
-        config = SemanticsConfig()
-        ResultCache(root).store("prog", config, "k", {"v": 1}, exhaustive=True)
+        remember(ContentStore(root), _key(), dict(PROOF, v=1))
         ctx = multiprocessing.get_context("fork")
         child = ctx.Process(target=_store_then_die, args=(root, 2))
         child.start()
         child.join()
         assert glob.glob(os.path.join(root, "??", "*.tmp.*"))
         # Any eviction pass sweeps the orphaned temp file.
-        store = ResultCache(root).store_backend
-        store.max_entries = 100
-        store.evict()
+        ContentStore(root, max_entries=100).evict()
         assert not glob.glob(os.path.join(root, "??", "*.tmp.*"))
 
 
@@ -198,31 +201,31 @@ class TestWarmRoundTrip:
         paths = _write_specs(tmp_path, [1, 2, 3])
         root = str(tmp_path / "cache")
 
-        cold = ResultCache(root)
+        cold = ContentStore(root)
         for path in paths:
-            assert run_spec_file(path, cache=cold).ok
+            assert run_spec_file(path, store=cold).ok
         assert cold.stores == 3 and cold.hits == 0
 
-        warm = ResultCache(root)
+        warm = ContentStore(root)
         for path in paths:
-            assert run_spec_file(path, cache=warm).ok
+            assert run_spec_file(path, store=warm).ok
         assert warm.hits == 3 and warm.misses == 0
 
         # Mutate exactly one program; only it may re-explore.
         with open(paths[1], "w") as handle:
             handle.write(SPEC.format(value=7))
-        third = ResultCache(root)
+        third = ContentStore(root)
         for path in paths:
-            assert run_spec_file(path, cache=third).ok
+            assert run_spec_file(path, store=third).ok
         assert third.hits == 2 and third.misses == 1 and third.stores == 1
 
     def test_cached_verdict_matches_fresh(self, tmp_path):
         (path,) = _write_specs(tmp_path, [5])
-        cache = ResultCache(str(tmp_path / "cache"))
-        fresh = run_spec_file(path, cache=cache)
-        cached = run_spec_file(path, cache=cache)
+        store = ContentStore(str(tmp_path / "cache"))
+        fresh = run_spec_file(path, store=store)
+        cached = run_spec_file(path, store=store)
         assert cached == fresh
-        assert cache.hits == 1
+        assert store.hits == 1
 
 
 class TestBehaviorDigest:
@@ -247,21 +250,22 @@ class TestSemanticsVersionBump:
     corruption."""
 
     def test_version_reflects_the_rework(self):
-        assert cache_mod.SEMANTICS_VERSION == "ps21-repro-3"
+        assert version.SEMANTICS_VERSION == "ps21-repro-3"
 
     def test_old_version_entries_are_misses_not_corruption(self, tmp_path, monkeypatch):
+        source = SPEC.format(value=1)
         config = SemanticsConfig()
-        monkeypatch.setattr(cache_mod, "SEMANTICS_VERSION", "ps21-repro-1")
-        old = ResultCache(str(tmp_path))
-        old.store("prog", config, "k", {"ok": True}, exhaustive=True)
+        monkeypatch.setattr(version, "SEMANTICS_VERSION", "ps21-repro-1")
+        old = cached_job(ContentStore(str(tmp_path)), "litmus", source, {}, config)
         monkeypatch.undo()
-        fresh = ResultCache(str(tmp_path))
-        assert fresh.lookup("prog", config, "k") is None
+        fresh = ContentStore(str(tmp_path))
+        record = cached_job(fresh, "litmus", source, {}, config)
+        assert not record["cached"] and record["ok"] == old["ok"]
         # A version miss is not a corruption event: nothing quarantined,
-        # and storing under the new version works alongside the old entry.
-        assert fresh.quarantined == 0
-        assert fresh.store("prog", config, "k", {"ok": 2}, exhaustive=True)
-        assert fresh.lookup("prog", config, "k") == {"ok": 2}
+        # and the new verdict is stored alongside the old entry.
+        assert fresh.quarantined == 0 and fresh.stores == 1
+        assert fresh.entry_count() == 2
+        assert cached_job(fresh, "litmus", source, {}, config)["cached"]
 
     def test_config_digest_tracks_por_mode(self):
         digests = {config_digest(SemanticsConfig(por=por))

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.litmus.generator import GeneratorConfig, random_wwrf_program
-from repro.perf.cache import behavior_digest
+from repro.semantics.version import behavior_digest
 from repro.perf.pool import SweepJob, SweepOutcome, run_sweep
 from repro.robust.budget import Budget
 from repro.robust.confidence import Confidence

@@ -274,16 +274,16 @@ class TestCheckpointResume:
         """A DPOR checkpoint records the semantics version it was taken
         under; resuming it under another version raises instead of
         reinterpreting a payload whose layout may have changed."""
-        from repro.perf import cache
         from repro.robust.checkpoint import CheckpointError
+        from repro.semantics import version
 
         program = sb()
         explorer = Explorer(program, DPOR)
         explorer.build(meter=Budget(max_states=8).start())
         checkpoint = explorer.snapshot()
         assert checkpoint.dpor is not None
-        assert checkpoint.semantics_version == cache.SEMANTICS_VERSION
-        monkeypatch.setattr(cache, "SEMANTICS_VERSION", "ps21-repro-next")
+        assert checkpoint.semantics_version == version.SEMANTICS_VERSION
+        monkeypatch.setattr(version, "SEMANTICS_VERSION", "ps21-repro-next")
         with pytest.raises(CheckpointError, match="semantics version"):
             Explorer.resume(checkpoint, program, DPOR)
 

@@ -192,6 +192,16 @@ class TestAdmission:
         status, _, _ = served.request("/v1/litmus", {"programs": []})
         assert status == 400
 
+    def test_unknown_optimizer_400_lists_the_choices(self, served):
+        """Refused at admission: no worker is forked, no rung is walked."""
+        status, body, _ = served.request(
+            "/v1/validate", {"programs": [STRAIGHTLINE], "opt": "nonsense"}
+        )
+        assert status == 400
+        assert "unknown optimizer 'nonsense'" in body["error"]
+        assert "'constprop'" in body["error"] and "'pipeline'" in body["error"]
+        assert served.daemon.supervisor.stats()["jobs"] == 0
+
     def test_oversize_batch_413(self, served):
         programs = [SB] * (served.daemon.config.max_batch_jobs + 1)
         status, body, _ = served.request("/v1/litmus", {"programs": programs})

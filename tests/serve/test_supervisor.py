@@ -138,12 +138,12 @@ class TestStoreIntegration:
         """A stored verdict must not outlive a change to the semantics:
         the version is part of the key, so the old entry silently misses
         (it is not corruption, so nothing is quarantined)."""
-        from repro.perf import cache
+        from repro.semantics import version
 
         store = ContentStore(str(tmp_path))
         Supervisor(store, FAST).run_job(spec())
         assert Supervisor(store, FAST).run_job(spec()).cached
-        monkeypatch.setattr(cache, "SEMANTICS_VERSION", "ps21-repro-next")
+        monkeypatch.setattr(version, "SEMANTICS_VERSION", "ps21-repro-next")
         fresh = Supervisor(store, FAST).run_job(spec())
         assert not fresh.cached and fresh.confidence == "PROVED"
         assert store.quarantined == 0
@@ -170,6 +170,24 @@ class TestDegradation:
         # Degraded answers are never persisted: a later warm start must
         # not replay BOUNDED evidence as if it were a proof.
         assert store.get(spec().content_key()) is None
+
+    def test_truncated_bounded_rung_judges_the_clauses_alone(self):
+        """Unlike ``repro litmus`` (where a truncated run fails the spec),
+        the service answers a truncated bounded rung by its clauses,
+        capped at BOUNDED."""
+        capped = SupervisorConfig(
+            job_deadline_seconds=15.0,
+            retry=RetryPolicy(max_attempts=3, base_delay_seconds=0.01),
+            bounded_max_states=3,
+        )
+        only_forbidden = SB.replace("//! exists (0, 0)\n", "")
+        with chaos_rules(
+            FaultRule("supervisor.job", kind="kill", key="t:exhaustive")
+        ):
+            result = Supervisor(config=capped).run_job(spec(source=only_forbidden))
+        assert result.ok is True
+        assert (result.rung, result.confidence) == (RUNG_BOUNDED, "BOUNDED")
+        assert "spec OK" in result.detail
 
     def test_two_dead_rungs_fall_to_sampled(self):
         with chaos_rules(
