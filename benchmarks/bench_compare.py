@@ -12,8 +12,13 @@ each group, and flags regressions:
   bookkeeping drift;
 * a family present in the previous PR but missing from the latest is
   reported (benchmarks should not silently disappear);
-* wall-clock columns are reported but never enforced (CI machines are
-  too noisy for timing gates).
+* within each family's latest row, "fewer states, more time" fails:
+  ``dpor_states < fusion_states`` with ``dpor_secs`` above
+  :data:`CLOCK_FACTOR` times ``fusion_secs``.  Both timings come from
+  the same run on the same machine, so no cross-machine comparison is
+  made; rows with ``fusion_secs`` under :data:`MIN_FUSION_SECS` are too
+  short to time and are not judged.  Timings are never compared across
+  PRs (CI machines differ too much).
 
 Usage::
 
@@ -33,6 +38,13 @@ from typing import Dict, List, Tuple
 
 #: Columns that measure exploration size: deterministic, gate-worthy.
 STATE_COLUMNS = ("dpor_states", "fusion_states", "none_states", "states")
+
+#: A row where dpor explores fewer states than fusion fails when dpor
+#: takes more than this many times fusion's seconds.
+CLOCK_FACTOR = 1.25
+#: Rows whose fusion run is shorter than this (seconds) are not judged.
+MIN_FUSION_SECS = 0.05
+_CLOCK_COLUMNS = ("dpor_states", "fusion_states", "dpor_secs", "fusion_secs")
 
 
 def load_rows(path: str) -> List[dict]:
@@ -92,6 +104,29 @@ def compare(
     return regressions, notes
 
 
+def clock_inversions(groups: Dict[Tuple[str, str], Dict[int, dict]]) -> List[str]:
+    """Families whose latest row explores fewer states under dpor than
+    under fusion but takes more than ``CLOCK_FACTOR`` times as long."""
+    found: List[str] = []
+    for (experiment, family), prs in sorted(groups.items()):
+        row = prs[max(prs)]
+        if any(column not in row for column in _CLOCK_COLUMNS):
+            continue
+        if row["fusion_secs"] < MIN_FUSION_SECS:
+            continue
+        if (
+            row["dpor_states"] < row["fusion_states"]
+            and row["dpor_secs"] > CLOCK_FACTOR * row["fusion_secs"]
+        ):
+            label = f"{experiment}/{family}" if family else experiment
+            found.append(
+                f"SLOWER {label} (PR {max(prs)}): dpor {row['dpor_secs']}s for "
+                f"{row['dpor_states']} states > {CLOCK_FACTOR}x fusion's "
+                f"{row['fusion_secs']}s for {row['fusion_states']}"
+            )
+    return found
+
+
 def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--bench", default="BENCH.json",
@@ -107,7 +142,9 @@ def main(argv: List[str] | None = None) -> int:
     if not rows:
         print(f"bench-compare: {args.bench} is empty; nothing to compare")
         return 0
-    regressions, notes = compare(group_rows(rows), args.threshold)
+    groups = group_rows(rows)
+    regressions, notes = compare(groups, args.threshold)
+    regressions += clock_inversions(groups)
     for note in notes:
         print(f"bench-compare: {note}")
     for regression in regressions:
@@ -115,7 +152,7 @@ def main(argv: List[str] | None = None) -> int:
     if regressions:
         print(f"bench-compare: {len(regressions)} regression(s)")
         return 1
-    print("bench-compare: no state-count regressions")
+    print("bench-compare: no state-count regressions, no clock inversions")
     return 0
 
 

@@ -43,9 +43,9 @@ from repro.memory.timestamps import (
     midpoint,
     successor,
 )
-from repro.perf.intern import HASH_MASK, HashConsed, hash_mix, intern_items, stable_hash
+from repro.perf.intern import HASH_MASK, HashConsed, hash_mix, intern_items
 
-_MEM_TAG = stable_hash("Memory")
+_MEM_TAG = hash("Memory") & HASH_MASK
 
 _ITEM_VAR = attrgetter("var")
 

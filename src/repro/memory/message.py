@@ -7,7 +7,7 @@ view ``V`` (nontrivial only for release writes).  A :class:`Reservation`
 use reservations to protect intervals they plan to use, and the capped
 memory is built out of them.
 
-Both are immutable ``__slots__`` structs with a deterministic hash sealed at
+Both are immutable ``__slots__`` structs with an in-process hash sealed at
 construction (:mod:`repro.perf.intern`) — memories hash as the sum of their
 item hashes, so per-item hashes are computed exactly once.
 """
@@ -19,7 +19,7 @@ from typing import Dict, Set, Union
 from repro.lang.values import Int32
 from repro.memory.timemap import BOTTOM_VIEW, View
 from repro.memory.timestamps import Timestamp
-from repro.perf.intern import HashConsed, seal
+from repro.perf.intern import HashConsed, seal_summand
 
 
 class Message(HashConsed):
@@ -54,7 +54,7 @@ class Message(HashConsed):
         object.__setattr__(self, "frm", frm)
         object.__setattr__(self, "to", to)
         object.__setattr__(self, "view", view)
-        seal(self, ("Msg", var, value, frm, to, view._hashcode))
+        seal_summand(self, ("Msg", var, value, frm, to, view._hashcode))
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -114,7 +114,7 @@ class Reservation(HashConsed):
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "frm", frm)
         object.__setattr__(self, "to", to)
-        seal(self, ("Rsv", var, frm, to))
+        seal_summand(self, ("Rsv", var, frm, to))
 
     def __eq__(self, other) -> bool:
         if self is other:

@@ -11,7 +11,7 @@ stored sparsely: variables at timestamp 0 are not represented, so the
 bottom map is the empty tuple regardless of the variable universe.
 
 Hashing is the exploration hot path (every visited-set probe hashes whole
-machine states), so both types precompute a deterministic hash at
+machine states), so both types precompute an in-process hash at
 construction (:mod:`repro.perf.intern`).  A time map's hash is the
 order-independent sum of its entry hashes, which lets ``set``/``bump``
 compute the successor's hash as a *delta* (subtract the old entry's hash,
@@ -31,11 +31,10 @@ from repro.perf.intern import (
     hash_mix,
     hash_pair,
     intern_timemap,
-    stable_hash,
 )
 
-_TM_TAG = stable_hash("TimeMap")
-_VIEW_TAG = stable_hash("View")
+_TM_TAG = hash("TimeMap") & HASH_MASK
+_VIEW_TAG = hash("View") & HASH_MASK
 
 
 class TimeMap(HashConsed):

@@ -1,4 +1,4 @@
-"""State hash-consing: slotted structs, deterministic hashes, intern tables.
+"""State hash-consing: slotted structs, cached in-process hashes, intern tables.
 
 The explorer's hot path is the visited-set probe ``succ in self._index``
 (:meth:`repro.semantics.exploration.Explorer.build`).  Machine states are
@@ -12,15 +12,18 @@ the probe cheap:
   construction, and store a precomputed structural hash in the
   ``_hashcode`` slot via :func:`seal`.  ``__hash__`` is a slot read.
 
-* **Deterministic hashing** — :func:`stable_hash` is a process-independent
-  64-bit structural hash (strings are digested with ``blake2b`` and
-  memoized; everything else mixes arithmetically).  Because the cached
-  hash no longer depends on ``PYTHONHASHSEED``, pickled states keep it:
-  there is no transient-stripping on pickle any more.  Instead,
-  ``__reduce__`` re-runs the constructor on unpickle, which re-normalizes,
-  re-interns and re-seals — a checkpoint written by one process rebuilds
-  identical hashes in any other, and ``BehaviorSet`` digests are stable
-  across runs without pickling state objects at all.
+* **In-process hashing** — :func:`seal` is Python's built-in ``hash`` of
+  the seal key, masked to 64 bits; a key's hash-consed components
+  contribute their cached hashes, so sealing never walks a substructure
+  twice.  Hashes that containers sum (time-map entries, memory items)
+  are finalized first (:func:`summand_hash`).  String hashes follow
+  ``PYTHONHASHSEED``, so these hashes never leave the process: pickles
+  carry constructor arguments only
+  (``__reduce__``), and unpickling re-normalizes, re-interns and re-seals
+  under the loading process's hash.  Everything persisted or compared
+  across processes — verdict-store keys, config, behavior and checkpoint
+  digests — is SHA-256 over canonical bytes instead
+  (:mod:`repro.semantics.version`, :mod:`repro.serve.store`).
 
 * **Interning** — :class:`Interner` canonicalizes shared substructures
   (views, time maps, per-location message tuples, thread pools) so equal
@@ -42,131 +45,52 @@ sharing, never correctness — interning is a pure identity optimization.
 
 from __future__ import annotations
 
-import enum
-from hashlib import blake2b
 from typing import Dict, Tuple, TypeVar
 
 T = TypeVar("T")
 
-_MASK = (1 << 64) - 1
+#: Cached hashes are unsigned 64-bit ints.
+HASH_MASK = (1 << 64) - 1
 _PRIME = 0x100000001B3
 _OFFSET = 0xCBF29CE484222325
-_NONE_HASH = 0x9E3779B97F4A7C15
-
-#: Memoized string digests.  The string universe of a run is tiny (variable
-#: names, register names, type tags), so this is effectively O(1) per call.
-_STR_HASHES: Dict[str, int] = {}
-
-
-def _str_hash(text: str) -> int:
-    cached = _STR_HASHES.get(text)
-    if cached is None:
-        if len(_STR_HASHES) >= 1_000_000:  # pragma: no cover - pathological
-            _STR_HASHES.clear()
-        cached = int.from_bytes(
-            blake2b(text.encode("utf-8"), digest_size=8).digest(), "little"
-        )
-        _STR_HASHES[text] = cached
-    return cached
-
-
-def _int_hash(value: int) -> int:
-    """splitmix64-style finalizer over an arbitrary-magnitude int."""
-    h = value & _MASK
-    value >>= 64
-    while value not in (0, -1):
-        h = ((h ^ (value & _MASK)) * _PRIME) & _MASK
-        value >>= 64
-    if value == -1:
-        h ^= 0x517CC1B727220A95
-    h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & _MASK
-    return h ^ (h >> 31)
-
-
-def stable_hash(key: object) -> int:
-    """A deterministic 64-bit structural hash (process-independent).
-
-    Supports the building blocks of seal keys: strings, ints (including
-    ``Int32`` and ``bool``), ``None``, enums, nested tuples, and any
-    :class:`HashConsed` instance (hashed by its cached ``_hashcode``).
-
-    The tuple loop dispatches the common leaf kinds (exact ``str``,
-    exact ``int``, cached ``_hashcode``) inline: :func:`seal` keys are
-    wide, shallow tuples of such leaves, and the recursive call per leaf
-    dominated exploration profiles before the inlining (the hash values
-    themselves are unchanged).
-    """
-    cls = key.__class__
-    if cls is tuple:
-        h = _OFFSET
-        str_hashes = _STR_HASHES
-        for item in key:  # type: ignore[attr-defined]
-            icls = item.__class__
-            if icls is str:
-                ih = str_hashes.get(item)
-                if ih is None:
-                    ih = _str_hash(item)
-            elif icls is int:
-                ih = _int_hash(item)
-            elif icls is tuple:
-                ih = stable_hash(item)
-            else:
-                ih = getattr(item, "_hashcode", None)
-                if ih is None:
-                    ih = stable_hash(item)
-            h = ((h ^ ih) * _PRIME) & _MASK
-        return ((h ^ len(key)) * _PRIME) & _MASK  # type: ignore[arg-type]
-    if cls is str:
-        return _str_hash(key)  # type: ignore[arg-type]
-    if cls is int or isinstance(key, int):  # Int32, bool, Timestamp
-        return _int_hash(int(key))
-    if key is None:
-        return _NONE_HASH
-    hashcode = getattr(key, "_hashcode", None)
-    if hashcode is not None:
-        return hashcode  # type: ignore[return-value]
-    if isinstance(key, enum.Enum):
-        return _str_hash(f"{type(key).__name__}.{key.name}")
-    if isinstance(key, str):  # str subclasses
-        return _str_hash(str(key))
-    raise TypeError(f"stable_hash: unsupported key component {key!r}")
 
 
 def hash_mix(*values: int) -> int:
     """Mix already-hashed 64-bit values into one (order-sensitive, cheap).
 
     Used by structs whose components are themselves hashed (e.g. a view
-    mixing its two time-map hashes) to avoid a full :func:`stable_hash`
-    walk.
+    mixing its two time-map hashes) to avoid re-hashing a whole key tuple.
     """
     h = _OFFSET
     for v in values:
-        h = ((h ^ (v & _MASK)) * _PRIME) & _MASK
+        h = ((h ^ (v & HASH_MASK)) * _PRIME) & HASH_MASK
     return h
 
 
-_PAIR_HASHES: Dict[Tuple[str, int], int] = {}
+def summand_hash(key: tuple) -> int:
+    """A hash of ``key`` that is safe to add into an order-independent sum.
+
+    Python's tuple hash is nearly additive in its integer lanes (an int
+    hashes to itself, and each lane is added, rotated and multiplied), so
+    a plain sum of tuple hashes collides on entries that trade timestamps
+    or values — ``{x: 1, y: 2}`` against ``{x: 2, y: 1}`` — at a rate that
+    depends on ``PYTHONHASHSEED``.  The splitmix64 finalizer breaks that
+    additive structure.
+    """
+    h = hash(key) & HASH_MASK
+    h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & HASH_MASK
+    h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & HASH_MASK
+    return h ^ (h >> 31)
 
 
 def hash_pair(var: str, t: int) -> int:
-    """Memoized hash of a ``(variable, timestamp)`` entry.
+    """Hash of a ``(variable, timestamp)`` entry.
 
     Time maps hash as the mod-2**64 *sum* of their entry hashes, which is
     order-independent, so ``set``/``bump`` can subtract the old entry's
     hash and add the new one instead of re-hashing every entry.
     """
-    key = (var, t)
-    cached = _PAIR_HASHES.get(key)
-    if cached is None:
-        if len(_PAIR_HASHES) >= 1_000_000:  # pragma: no cover - pathological
-            _PAIR_HASHES.clear()
-        cached = hash_mix(_str_hash(var), _int_hash(t))
-        _PAIR_HASHES[key] = cached
-    return cached
-
-
-HASH_MASK = _MASK
+    return summand_hash((var, t))
 
 
 class HashConsed:
@@ -217,10 +141,18 @@ def seal(obj: object, key: tuple) -> None:
     """Precompute and store ``obj``'s hash (call last in ``__init__``).
 
     ``key`` should start with a type tag so structurally similar values of
-    different classes do not collide systematically.  The hash is
-    deterministic (:func:`stable_hash`), so it survives pickling.
+    different classes do not collide systematically.  The hash is Python's
+    own ``hash`` of the key, so it is only meaningful inside one process
+    (string hashes follow ``PYTHONHASHSEED``); unpickling re-runs the
+    constructor, which re-seals under the loading process's hash.
     """
-    object.__setattr__(obj, "_hashcode", stable_hash(key))
+    object.__setattr__(obj, "_hashcode", hash(key) & HASH_MASK)
+
+
+def seal_summand(obj: object, key: tuple) -> None:
+    """:func:`seal` for values whose hashes are summed into a container's
+    hash (memory items): the hash is :func:`summand_hash` of ``key``."""
+    object.__setattr__(obj, "_hashcode", summand_hash(key))
 
 
 class Interner:

@@ -83,6 +83,15 @@ stack so no race-clause backtrack point is lost.  Wakeup-sequence-guided
 branches integrate for free: a guided replay that reaches a memoized
 state skips with the same summary replay.
 
+**Macro-step memo.**  A thread step and its certification read only the
+thread's own state and the shared memory (the machine step, Fig. 9), so
+the outcomes of a macro-step are a pure function of ``(pool[tid], mem)``.
+The same pair recurs under many schedule nodes (every interleaving of
+independent steps of *other* threads leaves it unchanged), so each
+build computes it once (``macro_outcomes``) and replays it on later
+transitions (``memo_hits``); only the successor machine states are
+rebuilt, renormalized and interned per transition.
+
 The reduced graph is written into the owning
 :class:`~repro.semantics.exploration.Explorer`'s ``states``/``edges``/
 ``terminal`` arrays, so the trace fixpoint, checkpointing, and all
@@ -118,10 +127,12 @@ FLAG_PRM = 4
 
 #: A transition footprint: ``(reads, writes, flags)``.  Reads and writes
 #: are bit masks over the program's sorted location list (see
-#: :class:`FootprintIndex`); :func:`dependent` only uses ``&``/``|``
-#: truthiness, so it also accepts the pre-mask ``frozenset`` encoding
-#: (old checkpoints carry it until migrated).
+#: :class:`FootprintIndex`).
 Footprint = Tuple[int, int, int]
+
+#: One outcome of a macro-step: ``(output label or None, thread state,
+#: memory)`` after the step, its certification and its pure-local suffix.
+Outcome = Tuple[Optional[int], ThreadState, object]
 
 #: The empty footprint — independent of everything (pure-local steps).
 EMPTY_FP: Footprint = (0, 0, 0)
@@ -316,6 +327,9 @@ class DporStats:
     wakeup_sequences: int = 0
     #: Total nodes across all recorded wakeup sequences (tree size).
     wakeup_nodes: int = 0
+    #: Transitions whose outcomes came from the macro-step memo (the
+    #: ``(thread state, memory)`` pair had already been executed).
+    memo_hits: int = 0
 
     @property
     def redundant_executions(self) -> int:
@@ -337,6 +351,7 @@ class DporStats:
             "source_skips": self.source_skips,
             "wakeup_sequences": self.wakeup_sequences,
             "wakeup_nodes": self.wakeup_nodes,
+            "memo_hits": self.memo_hits,
             "redundant_executions": self.redundant_executions,
         }
 
@@ -667,12 +682,14 @@ def dpor_build(
             ts, mem = next_ts, next_mem
         return ts, mem
 
-    def execute(node: _Node, tid: int) -> List[int]:
-        state = explorer.states[node.idx]
-        succs: List[int] = []
-        seen: Set[int] = set()
-        outcomes: List[Tuple[Optional[int], ThreadState, object]] = []
-        head = state.pool[tid]
+    def macro_outcomes(head: ThreadState, mem) -> List[Outcome]:
+        """Every ``(label, new_ts, new_mem)`` a macro-step of ``head`` over
+        ``mem`` reaches: the certified visible steps, each extended through
+        its pure-local suffix, plus the reservation cancel closure of a
+        finishing thread.  A thread step and its certification read only
+        the thread's own state and the shared memory, so this is a pure
+        function of ``(head, mem)`` (``execute`` memoizes it)."""
+        outcomes: List[Outcome] = []
         # A macro-step starting at a pure-local op is the deterministic
         # local chain itself: no promise branching at its head either
         # (deferral is sound for the same reason it is mid-chain).
@@ -680,7 +697,7 @@ def dpor_build(
             next_op(program, head.local), _PURE_LOCAL
         )
         for event, new_ts, new_mem in thread_steps(
-            program, head, state.mem, config, allow_promises=not head_local
+            program, head, mem, config, allow_promises=not head_local
         ):
             is_out = isinstance(event, OutputEvent)
             if not is_out and not consistent(
@@ -705,6 +722,23 @@ def dpor_build(
                     program, new_ts, new_mem, config
                 ):
                     outcomes.append((None, closed_ts, closed_mem))
+        return outcomes
+
+    #: ``(thread state, memory) -> macro_outcomes(...)`` for this build
+    #: only: a resumed build refills it, checkpoints never carry it.
+    memo: Dict[Tuple[ThreadState, object], List[Outcome]] = {}
+
+    def execute(node: _Node, tid: int) -> List[int]:
+        state = explorer.states[node.idx]
+        succs: List[int] = []
+        seen: Set[int] = set()
+        head = state.pool[tid]
+        pair = (head, state.mem)
+        outcomes = memo.get(pair)
+        if outcomes is None:
+            outcomes = memo[pair] = macro_outcomes(head, state.mem)
+        else:
+            stats.memo_hits += 1
         for label, new_ts, new_mem in outcomes:
             new_state = MachineState(
                 update_pool(state.pool, tid, new_ts), tid, new_mem

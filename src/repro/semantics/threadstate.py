@@ -7,7 +7,7 @@ stack.  A :class:`ThreadState` bundles the local state with the PS2.1 view
 views of the full PS2.1 thread-view structure (``vrel``, ``vacq``), which the
 paper elides together with fences (footnote 1).
 
-Everything is an immutable ``__slots__`` struct with a deterministic hash
+Everything is an immutable ``__slots__`` struct with an in-process hash
 sealed at construction (:mod:`repro.perf.intern`).
 """
 

@@ -1,19 +1,28 @@
 """Hash-consing layer: cached hashes, interning, and pickling.
 
 The correctness obligations of ``repro.perf.intern`` are (1) the cached
-hash always agrees with structural equality and is **deterministic**
-across processes (``stable_hash`` is blake2b/splitmix-based, immune to
-``PYTHONHASHSEED``), (2) interning returns equal objects by identity
-without ever changing equality, and (3) pickles carry only constructor
-arguments (``__reduce__``), so restored states re-normalize, re-intern,
-and re-seal their hashes on load.
+hash always agrees with structural equality within a process (it is
+Python's ``hash``, so string components follow ``PYTHONHASHSEED``), (2)
+interning returns equal objects by identity without ever changing
+equality, (3) pickles carry only constructor arguments (``__reduce__``),
+so restored states re-normalize, re-intern, and re-seal their hashes on
+load, and (4) nothing observable depends on the hash seed: explorations,
+sampled runs and checkpoints resumed in another process agree.
 """
 
+import itertools
+import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
+import repro
 from repro.memory.memory import Memory
 from repro.memory.message import Message
 from repro.memory.timemap import BOTTOM_VIEW, TimeMap, View
+from repro.memory.timestamps import GRANULE
 from repro.perf.intern import (
     Interner,
     clear_interners,
@@ -55,6 +64,24 @@ class TestCachedHashes:
         assert moved != local
         assert hash(moved) == hash(LocalState(func="t1", label="entry", offset=0,
                                               regs=(("r1", 7),)))
+
+    def test_summed_hashes_do_not_collide_on_traded_entries(self):
+        # Time maps and memories hash as sums of entry hashes.  Entries
+        # that trade timestamps or values leave the sum of raw tuple hashes
+        # nearly unchanged, so each entry's hash must be finalized first.
+        stamps = [k * GRANULE for k in range(1, 7)]
+        maps = {TimeMap(tuple(zip("xyz", ts))) for ts in itertools.product(stamps, repeat=3)}
+        assert len({m._hashcode for m in maps}) == len(maps) == 216
+        mems = {
+            Memory(tuple(
+                Message(var, value, k * GRANULE, (k + 1) * GRANULE)
+                for var, values in (("x", xs), ("y", ys))
+                for k, value in enumerate(values)
+            ))
+            for xs in itertools.permutations(range(4))
+            for ys in itertools.permutations(range(4))
+        }
+        assert len({m._hashcode for m in mems}) == len(mems) == 576
 
     def test_machine_state_hash_consistent(self):
         from repro.semantics.thread import SemanticsConfig
@@ -126,14 +153,78 @@ class TestInterner:
         assert a.view is b.view  # both interned to the canonical bottom view
 
 
-class TestDeterministicHashes:
-    def test_stable_hash_is_process_independent(self):
-        # Golden values: stable_hash must never depend on PYTHONHASHSEED.
-        from repro.perf.intern import stable_hash
+#: Run under a given ``PYTHONHASHSEED``: dpor explorations of a
+#: promise-bearing litmus test and a generated 3x4 program, a seeded
+#: random run, and a checkpoint either saved after a budget trip
+#: (``save``) or resumed to completion (``resume``).
+_SEED_PROBE = """
+import json, sys
+from dataclasses import replace
+from repro.litmus.generator import GeneratorConfig, random_wwrf_program
+from repro.litmus.library import LITMUS_SUITE
+from repro.litmus.spec import LitmusSpec
+from repro.robust.budget import Budget
+from repro.robust.checkpoint import load_checkpoint, save_checkpoint
+from repro.semantics.exploration import Explorer
+from repro.semantics.random_run import random_run
+from repro.semantics.thread import SemanticsConfig
+from repro.semantics.version import behavior_digest
 
-        assert stable_hash(0) == stable_hash(0)
-        assert stable_hash("x") != stable_hash("y")
-        assert stable_hash((1, "x")) != stable_hash((1, "y"))
+mode, path = sys.argv[1], sys.argv[2]
+lb = LITMUS_SUITE["LB"]
+lb_config = replace(LitmusSpec(lb.program, promises=lb.promise_budget).config(), por="dpor")
+generated = random_wwrf_program(3, GeneratorConfig(threads=3, instrs_per_thread=4))
+out = {}
+for name, program, config in (
+    ("LB", lb.program, lb_config),
+    ("gen3x4", generated, SemanticsConfig(por="dpor")),
+):
+    explorer = Explorer(program, config)
+    result = explorer.behaviors()
+    out[name] = {
+        "states": result.state_count,
+        "edges": sum(len(edge) for edge in explorer.edges),
+        "dpor": explorer.dpor_stats.as_dict(),
+        "digest": behavior_digest(result),
+    }
+out["random_run"] = list(map(str, random_run(lb.program, lb_config, seed=7).trace))
+if mode == "save":
+    partial = Explorer(lb.program, lb_config)
+    partial.build(meter=Budget(max_states=40).start())
+    assert not partial.exhaustive
+    save_checkpoint(partial.snapshot(), path)
+else:
+    resumed = Explorer.resume(load_checkpoint(path), lb.program, lb_config)
+    result = resumed.behaviors()
+    out["resumed"] = {"states": result.state_count, "digest": behavior_digest(result)}
+print(json.dumps(out))
+"""
+
+
+def _probe(hash_seed: str, mode: str, path: Path) -> dict:
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(repro.__file__).parent.parent), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _SEED_PROBE, mode, str(path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout)
+
+
+class TestHashSeedIndependence:
+    def test_results_do_not_depend_on_the_hash_seed(self, tmp_path):
+        """Seals use the process's own ``hash``; exploration order, state
+        and edge counts, dpor counters, behavior digests, random runs and
+        checkpoint resumption must not notice which seed that hash has."""
+        path = tmp_path / "lb.ckpt"
+        seed0 = _probe("0", "save", path)
+        seed1 = _probe("1", "resume", path)
+        resumed = seed1.pop("resumed")
+        assert seed0 == seed1
+        assert seed0["LB"]["dpor"]["promise_footprints"] > 0
+        assert resumed == {key: seed0["LB"][key] for key in ("states", "digest")}
         v = View(TimeMap((("x", 7),)), TimeMap(()))
-        blob = pickle.dumps(v)
-        assert pickle.loads(blob)._hashcode == v._hashcode
+        assert pickle.loads(pickle.dumps(v))._hashcode == v._hashcode

@@ -6,6 +6,7 @@ counts are *expected* to differ; that reduction is what DPOR is for.
 """
 
 import dataclasses
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,8 @@ from repro.lang.builder import ProgramBuilder
 from repro.lang.syntax import Const
 from repro.litmus.generator import GeneratorConfig, random_wwrf_program
 from repro.litmus.library import LITMUS_SUITE, sb, sb_with_sc_fences
-from repro.robust.budget import Budget
+from repro.robust.budget import Budget, BudgetExhausted
+from repro.semantics import dpor
 from repro.semantics.dpor import (
     EMPTY_FP,
     FLAG_OUT,
@@ -153,7 +155,7 @@ class TestStatsAndGating:
             "nodes", "transitions", "sleep_skips", "sleep_blocked",
             "backtrack_points", "full_expansions", "promise_footprints",
             "source_skips", "wakeup_sequences", "wakeup_nodes",
-            "redundant_executions",
+            "memo_hits", "redundant_executions",
         }
         assert stats.as_dict()["redundant_executions"] == stats.sleep_blocked
 
@@ -209,6 +211,65 @@ class TestStatsAndGating:
         assert explorer.dpor_stats is None
         assert explorer.por_downgrade == "gap-leaving-writes"
         assert explorer.config.fuse_local_steps
+
+
+class _OneIteration:
+    """A meter that lets exactly one DFS iteration run per build call."""
+
+    def __init__(self) -> None:
+        self.ticks = 0
+
+    def tick(self, count, sample=None) -> None:
+        self.ticks += 1
+        if self.ticks % 2 == 0:
+            raise BudgetExhausted("deadline")
+
+
+class TestMacroStepMemo:
+    def test_each_distinct_macro_step_runs_once(self, monkeypatch):
+        """Over the litmus suite, ``thread_steps`` runs once per distinct
+        ``(thread state, memory)`` pair executed; a memo-bypassed run (one
+        resumed build per DFS iteration, so the memo is always cold) takes
+        the same transitions, nodes and states."""
+        # Macro-step heads are the thread_steps calls made by
+        # macro_outcomes itself, not its local-suffix or cancel calls.
+        heads = []
+        real = dpor.thread_steps
+
+        def counting(program, ts, mem, *args, **kwargs):
+            if sys._getframe(1).f_code.co_name == "macro_outcomes":
+                heads.append((ts, mem))
+            return real(program, ts, mem, *args, **kwargs)
+
+        monkeypatch.setattr(dpor, "thread_steps", counting)
+        total_hits = 0
+        for name, test in sorted(LITMUS_SUITE.items()):
+            config = dataclasses.replace(suite_config(test), por="dpor")
+            heads.clear()
+            memoized = Explorer(test.program, config)
+            memoized.build()
+            stats = memoized.dpor_stats
+            memo_heads = len(heads)
+
+            heads.clear()
+            meter = _OneIteration()
+            bypassed = Explorer(test.program, config)
+            bypassed.build(meter=meter)
+            while bypassed._dpor_state is not None:
+                # What Explorer.resume installs: the live DFS state, which
+                # does not include the memo.
+                bypassed._dpor_resume = bypassed._dpor_state
+                bypassed.build(meter=meter)
+            cold = bypassed.dpor_stats
+
+            assert cold.memo_hits == 0, name
+            assert len(heads) == cold.transitions, name
+            assert memo_heads == len(set(heads)), name
+            assert stats.transitions == memo_heads + stats.memo_hits, name
+            assert (stats.transitions, stats.nodes) == (cold.transitions, cold.nodes), name
+            assert len(memoized.states) == len(bypassed.states), name
+            total_hits += stats.memo_hits
+        assert total_hits > 0
 
 
 class TestCheckpointResume:
