@@ -32,7 +32,7 @@ from repro.lang.syntax import AccessMode, Program, Store
 from repro.memory.memory import Memory
 from repro.memory.timestamps import TS_ZERO
 from repro.robust.confidence import Confidence
-from repro.semantics.exploration import ExplorationSession
+from repro.semantics.exploration import ExplorationSession, require_scan_graph
 from repro.semantics.thread import SemanticsConfig
 from repro.semantics.threadstate import ThreadState, next_op
 
@@ -130,7 +130,7 @@ def _check(
     session: Optional[ExplorationSession],
 ) -> RaceReport:
     session = session or ExplorationSession(config)
-    explorer = session.scan_graph(program, nonpreemptive)
+    explorer = require_scan_graph(session.scan_graph(program, nonpreemptive))
     found = (ww_race_witness(program, state) for state in explorer.states)
     witness = next((w for w in found if w is not None), None)
     return RaceReport(

@@ -70,6 +70,26 @@ cancel steps may only run while it is still the current thread, i.e. as
 an uninterrupted suffix of its final macro-step, so they are folded into
 that macro-step as alternative outcomes (``_cancel_closure``).
 
+**State identity.**  A stored state stands for its future: the output
+traces it can still produce (paper Sec. 3, Fig. 9).  Under DPOR that
+future is fixed by the thread pool and the memory alone, so two fields
+that do not affect it are normalized away before a successor is interned:
+
+* ``MachineState.cur`` is 0 in every DPOR state, the same as the initial
+  state.  DPOR runs whole per-thread macro-steps and never takes switch
+  steps, so "who moved last" carries no meaning on a DPOR graph.
+* A thread that has finished with no promises or reservations left is
+  *retired* (``_retire``): its registers, stack, views and promise budget
+  are dropped, keeping only its final position.  No step of any thread
+  ever reads them — the thread takes no further steps, and every other
+  thread's step and certification read only its own state and the
+  memory.
+
+Without this, the same future is explored once per last mover and once
+per leftover register file; with it every other reduction (sleep-set
+subsumption, the macro-step memo) prunes more.  ``none``, ``fusion`` and
+the non-preemptive machine keep ``cur``: they take switch steps.
+
 **Cycle proviso.**  A schedule hitting a state currently on the DFS stack
 (a back edge) marks that ancestor *fully expanded* (backtrack = all
 enabled, sleep cleared), so no transition can be ignored forever around a
@@ -523,6 +543,17 @@ class _SourceClause:
             stats.wakeup_nodes += len(script) + 1
 
 
+def _retire(ts: ThreadState) -> ThreadState:
+    """``ts`` with everything no step reads dropped, if it has finished
+    with no promises or reservations left: only its final position stays
+    (no registers, no stack, bottom views, promise budget 0).  A thread
+    still holding promises or reservations is returned unchanged."""
+    local = ts.local
+    if not local.done or len(ts.promises):
+        return ts
+    return ThreadState(LocalState(local.func, local.label, local.offset, done=True))
+
+
 def _cancel_closure(
     program, ts: ThreadState, mem, config: SemanticsConfig
 ) -> List[Tuple[ThreadState, object]]:
@@ -688,7 +719,9 @@ def dpor_build(
         its pure-local suffix, plus the reservation cancel closure of a
         finishing thread.  A thread step and its certification read only
         the thread's own state and the shared memory, so this is a pure
-        function of ``(head, mem)`` (``execute`` memoizes it)."""
+        function of ``(head, mem)`` (``execute`` memoizes it).  Finished
+        threads come out retired (``_retire``), so the memo pays for that
+        normalization once per pair."""
         outcomes: List[Outcome] = []
         # A macro-step starting at a pure-local op is the deterministic
         # local chain itself: no promise branching at its head either
@@ -712,16 +745,18 @@ def dpor_build(
                 continue
             label = int(event.value) if is_out else None
             new_ts, new_mem = local_suffix(new_ts, new_mem)
-            outcomes.append((label, new_ts, new_mem))
+            outcomes.append((label, _retire(new_ts), new_mem))
             if (
                 config.enable_reservations
                 and new_ts.local.done
-                and any(True for _ in new_ts.promises)
+                and len(new_ts.promises)
             ):
+                # The closure cancels reservations, so it runs on the
+                # unretired state; each result is retired afterwards.
                 for closed_ts, closed_mem in _cancel_closure(
                     program, new_ts, new_mem, config
                 ):
-                    outcomes.append((None, closed_ts, closed_mem))
+                    outcomes.append((None, _retire(closed_ts), closed_mem))
         return outcomes
 
     #: ``(thread state, memory) -> macro_outcomes(...)`` for this build
@@ -740,8 +775,9 @@ def dpor_build(
         else:
             stats.memo_hits += 1
         for label, new_ts, new_mem in outcomes:
+            # ``cur`` is always 0 (see "State identity" above).
             new_state = MachineState(
-                update_pool(state.pool, tid, new_ts), tid, new_mem
+                update_pool(state.pool, tid, new_ts), 0, new_mem
             )
             if new_mem.needs_renormalize:
                 new_state = renormalized_state(new_state)

@@ -69,6 +69,10 @@ class MachineState(HashConsed):
     state, and a cached hash plus identity-sharing substructures turn
     that probe from a deep structural walk into near-O(1) work
     (:mod:`repro.perf.intern`).
+
+    ``cur`` carries no meaning on a DPOR graph: DPOR never takes switch
+    steps, so it stores every state with ``cur == 0``
+    (:mod:`repro.semantics.dpor`, "State identity").
     """
 
     __slots__ = ("pool", "cur", "mem")

@@ -27,7 +27,11 @@ from typing import Any
 #: footprints; DPOR became the default for validate/races sweeps and its
 #: reduced graphs (state counts, truncated-run digests) differ from the
 #: sleep-set-only core, so ``-2`` entries must miss.
-SEMANTICS_VERSION = "ps21-repro-3"
+#: ``-4``: DPOR keys states by their future — ``cur`` is always 0 and
+#: finished promise-free threads are retired — so DPOR graphs (state
+#: counts, truncated-run digests) differ while behavior *sets* do not;
+#: ``-3`` entries must miss.
+SEMANTICS_VERSION = "ps21-repro-4"
 
 
 def config_digest(config: Any) -> str:

@@ -31,13 +31,31 @@ class Witness:
         return len(self.states) - 1
 
     def describe(self) -> str:
-        """A human-readable rendering of the schedule."""
+        """A human-readable rendering of the schedule.
+
+        Each step names the thread that moved into it: the one whose pool
+        entry changed from the previous state.  ``cur`` is only the
+        fallback (the initial state, and a switch step, which changes no
+        pool entry) — DPOR graphs do not record it (every stored state has
+        ``cur == 0``)."""
         lines = []
+        prev = None
         for i, state in enumerate(self.states):
             emitted = [v for idx, v in self.outputs if idx == i - 1 and v is not None]
             suffix = f"   => out({emitted[0]})" if emitted else ""
-            lines.append(f"step {i:3}: cur=t{state.cur} {suffix}")
+            lines.append(f"step {i:3}: cur=t{_mover(prev, state)} {suffix}")
+            prev = state
         return "\n".join(lines)
+
+
+def _mover(prev, state) -> int:
+    """The thread whose pool entry differs between ``prev`` and ``state``,
+    else ``state.cur``."""
+    if prev is not None:
+        for tid, (before, after) in enumerate(zip(prev.pool, state.pool)):
+            if before != after:
+                return tid
+    return state.cur
 
 
 def find_witness(

@@ -131,3 +131,22 @@ def test_duck_typed_view_with_missing_entry():
     assert thread_generates_ww_race(
         program, 0, ts, Memory.initial(["a"])
     ) is None
+
+
+def test_scan_refuses_a_dpor_graph():
+    """The scan inspects each stored state's ``cur``, which a DPOR graph
+    does not record: handed one, it raises instead of answering."""
+    import pytest
+
+    from repro.semantics.exploration import ExplorationSession, Explorer
+
+    class DporSession(ExplorationSession):
+        def scan_graph(self, program, nonpreemptive=False):
+            return Explorer(program, SemanticsConfig(por="dpor")).build()
+
+    program = straightline_program(
+        [[Store("a", Const(1), AccessMode.NA)], [Store("a", Const(2), AccessMode.NA)]]
+    )
+    with pytest.raises(ValueError, match="graph_scan_config"):
+        ww_rf(program, session=DporSession())
+    assert not ww_rf(program, SemanticsConfig(por="dpor")).race_free

@@ -69,15 +69,31 @@ class TestDependency:
         assert not dependent(EMPTY_FP, EMPTY_FP)
 
 
+def _assert_keyed_by_future(explorer) -> None:
+    """Every stored DPOR state has ``cur == 0``, and every finished
+    thread with no promises or reservations is retired."""
+    from repro.memory.timemap import BOTTOM_VIEW
+
+    for state in explorer.states:
+        assert state.cur == 0
+        for ts in state.pool:
+            if ts.local.done and not len(ts.promises):
+                assert ts.local.regs == () and ts.local.stack == ()
+                assert ts.view == ts.vrel == ts.vacq == BOTTOM_VIEW
+                assert ts.promise_budget == 0
+
+
 class TestLitmusEquality:
     @pytest.mark.parametrize("name", sorted(LITMUS_SUITE))
     def test_dpor_preserves_behaviors_on_suite(self, name):
         test = LITMUS_SUITE[name]
         base = suite_config(test)
         plain = behaviors(test.program, base)
-        reduced = behaviors(test.program, dataclasses.replace(base, por="dpor"))
+        explorer = Explorer(test.program, dataclasses.replace(base, por="dpor"))
+        reduced = explorer.behaviors()
         assert plain.traces == reduced.traces, name
         assert reduced.state_count <= plain.state_count
+        _assert_keyed_by_future(explorer)
 
     def test_sc_fences(self):
         """SC fences exchange with the global SC view — mutually
@@ -146,7 +162,12 @@ class TestStatsAndGating:
         result = explorer.behaviors()
         stats = explorer.dpor_stats
         assert stats is not None
-        assert stats.nodes == result.state_count
+        # A state reached by several schedules can be pushed again under a
+        # sleep set no earlier visit subsumes, so nodes may exceed states;
+        # keying states by their future keeps SB below its 38 keyed by
+        # (pool, cur, memory).
+        assert result.state_count <= stats.nodes
+        assert result.state_count < 38
         assert stats.sleep_skips + stats.sleep_blocked > 0
         assert stats.backtrack_points > 0
         assert result.state_count < behaviors(sb()).state_count
@@ -225,6 +246,35 @@ class _OneIteration:
             raise BudgetExhausted("deadline")
 
 
+class TestStateIdentity:
+    """DPOR keys states by their future (no ``cur``, finished threads
+    retired) on the benchmark's generated shapes, and the trace set is
+    still the ``por="none"`` one; the litmus suite is checked above."""
+
+    @pytest.mark.parametrize(
+        "shape, seed",
+        [("t3x4", seed) for seed in (0, 1, 2, 5)]
+        + [("p2x5", seed) for seed in (1, 2, 4, 6, 10)],
+    )
+    def test_generated_sample(self, shape, seed):
+        threads, instrs, promises = {"t3x4": (3, 4, 0), "p2x5": (2, 5, 1)}[shape]
+        program = random_wwrf_program(
+            seed, GeneratorConfig(threads=threads, instrs_per_thread=instrs)
+        )
+        config = SemanticsConfig()
+        if promises:
+            config = SemanticsConfig(
+                promise_oracle=SyntacticPromises(
+                    budget=promises, max_outstanding=promises
+                )
+            )
+        explorer = Explorer(program, dataclasses.replace(config, por="dpor"))
+        reduced = explorer.behaviors()
+        _assert_keyed_by_future(explorer)
+        assert any(ts.local.done for s in explorer.states for ts in s.pool)
+        assert reduced.traces == behaviors(program, config).traces
+
+
 class TestMacroStepMemo:
     def test_each_distinct_macro_step_runs_once(self, monkeypatch):
         """Over the litmus suite, ``thread_steps`` runs once per distinct
@@ -256,9 +306,11 @@ class TestMacroStepMemo:
             bypassed = Explorer(test.program, config)
             bypassed.build(meter=meter)
             while bypassed._dpor_state is not None:
-                # What Explorer.resume installs: the live DFS state, which
-                # does not include the memo.
-                bypassed._dpor_resume = bypassed._dpor_state
+                # A fresh explorer per iteration, resumed from the live
+                # DFS state, which does not include the memo.
+                bypassed = Explorer.resume(
+                    bypassed.snapshot(), test.program, config
+                )
                 bypassed.build(meter=meter)
             cold = bypassed.dpor_stats
 
@@ -284,6 +336,31 @@ class TestCheckpointResume:
         resumed = Explorer.resume(checkpoint, program, DPOR).behaviors()
         assert resumed.traces == uninterrupted.traces == unreduced.traces
         assert resumed.state_count == uninterrupted.state_count
+
+    def test_tripped_build_is_not_repeated(self):
+        """After a budget trip, ``behaviors()`` reads the partial graph
+        instead of restarting the DFS from the root; continuing is
+        ``Explorer.resume``'s job, and it reaches the uninterrupted run."""
+        from repro.semantics.version import behavior_digest
+
+        program = LITMUS_SUITE["2+2W"].program
+        uninterrupted = Explorer(program, DPOR)
+        full = uninterrupted.behaviors()
+        explorer = Explorer(program, DPOR)
+        explorer.build(meter=Budget(max_states=10).start())
+        stats = explorer.dpor_stats
+        nodes, count = stats.nodes, len(explorer.states)
+        assert count < full.state_count
+        partial = explorer.behaviors()
+        assert not partial.exhaustive
+        assert explorer.dpor_stats is stats
+        assert (stats.nodes, len(explorer.states)) == (nodes, count)
+        assert partial.state_count == count
+        resumed = Explorer.resume(explorer.snapshot(), program, DPOR)
+        finished = resumed.behaviors()
+        assert finished.exhaustive
+        assert set(resumed.states) == set(uninterrupted.states)
+        assert behavior_digest(finished) == behavior_digest(full)
 
     def test_checkpoint_file_round_trip(self, tmp_path):
         from repro.robust.checkpoint import load_checkpoint, save_checkpoint
@@ -402,7 +479,8 @@ class TestNewlyEnabledCorpora:
         from repro.lang.builder import straightline_program
         from repro.lang.syntax import AccessMode, Store
         from repro.memory.memory import Memory
-        from repro.semantics.dpor import _cancel_closure
+        from repro.memory.timemap import BOTTOM_VIEW
+        from repro.semantics.dpor import _cancel_closure, _retire
         from repro.semantics.events import ReserveEvent
         from repro.semantics.thread import thread_steps
         from repro.semantics.threadstate import initial_thread_state
@@ -435,6 +513,14 @@ class TestNewlyEnabledCorpora:
             not any(item.is_reservation for item in c_ts.promises)
             for c_ts, _ in closure
         )
+        # Retiring waits for the closure: the reservation holder stays
+        # whole, and each fully cancelled result is retired.
+        assert ts.view != BOTTOM_VIEW and _retire(ts) is ts
+        retired = [_retire(c_ts) for c_ts, _ in closure if not len(c_ts.promises)]
+        assert retired
+        for r_ts in retired:
+            assert r_ts.local.done and r_ts.local.func == ts.local.func
+            assert r_ts.view == BOTTOM_VIEW and r_ts == _retire(r_ts)
 
     def test_sc_fence_promise_program(self):
         program = sb_with_sc_fences()

@@ -3,8 +3,9 @@
 
 from repro.lang.builder import straightline_program
 from repro.lang.syntax import AccessMode, Const, Print
-from repro.litmus.library import fig1_source, fig1_target, sb
+from repro.litmus.library import fig1_source, fig1_target, mp_relacq, sb
 from repro.semantics.events import EVENT_DONE
+from repro.semantics.thread import SemanticsConfig
 from repro.semantics.witness import explain_counterexample, find_witness
 
 
@@ -58,3 +59,31 @@ def test_witness_describe_renders():
 def test_nonpreemptive_witness():
     witness = find_witness(sb(), (1, 1, EVENT_DONE), nonpreemptive=True)
     assert witness is not None
+
+
+def _printing_step_thread(witness) -> str:
+    line = next(line for line in witness.describe().splitlines() if "out(1)" in line)
+    return line.split("cur=")[1].split()[0]
+
+
+def test_dpor_witness_names_the_printing_thread():
+    """DPOR stores every state with ``cur == 0``; the description names
+    the thread that moved instead, so the reader (t1) prints."""
+    trace = (1, EVENT_DONE)
+    witness = find_witness(mp_relacq(), trace, SemanticsConfig(por="dpor"))
+    assert witness is not None
+    assert {state.cur for state in witness.states} == {0}
+    assert _printing_step_thread(witness) == "t1"
+
+
+def test_none_witness_description_is_cur():
+    """Under ``por="none"`` every step's mover is the stored ``cur``, so
+    the description reads exactly as the ``cur`` fields do."""
+    witness = find_witness(mp_relacq(), (1, EVENT_DONE), SemanticsConfig(por="none"))
+    assert witness is not None
+    expected = [
+        f"cur=t{state.cur}" for state in witness.states
+    ]
+    rendered = [line.split()[2] for line in witness.describe().splitlines()]
+    assert rendered == expected
+    assert _printing_step_thread(witness) == "t1"
