@@ -13,10 +13,10 @@ each group, and flags regressions:
 * a family present in the previous PR but missing from the latest is
   reported (benchmarks should not silently disappear);
 * within each family's latest row, "fewer states, more time" fails:
-  ``dpor_states < fusion_states`` with ``dpor_secs`` above
-  :data:`CLOCK_FACTOR` times ``fusion_secs``.  Both timings come from
+  ``dpor_states < none_states`` with ``dpor_secs`` above
+  :data:`CLOCK_FACTOR` times ``none_secs``.  Both timings come from
   the same run on the same machine, so no cross-machine comparison is
-  made; rows with ``fusion_secs`` under :data:`MIN_FUSION_SECS` are too
+  made; rows with ``none_secs`` under :data:`MIN_NONE_SECS` are too
   short to time and are not judged.  Timings are never compared across
   PRs (CI machines differ too much).
 
@@ -37,14 +37,14 @@ import sys
 from typing import Dict, List, Tuple
 
 #: Columns that measure exploration size: deterministic, gate-worthy.
-STATE_COLUMNS = ("dpor_states", "fusion_states", "none_states", "states")
+STATE_COLUMNS = ("dpor_states", "none_states", "states")
 
-#: A row where dpor explores fewer states than fusion fails when dpor
-#: takes more than this many times fusion's seconds.
+#: A row where dpor explores fewer states than the unreduced explorer
+#: fails when dpor takes more than this many times its seconds.
 CLOCK_FACTOR = 1.25
-#: Rows whose fusion run is shorter than this (seconds) are not judged.
-MIN_FUSION_SECS = 0.05
-_CLOCK_COLUMNS = ("dpor_states", "fusion_states", "dpor_secs", "fusion_secs")
+#: Rows whose unreduced run is shorter than this (seconds) are not judged.
+MIN_NONE_SECS = 0.05
+_CLOCK_COLUMNS = ("dpor_states", "none_states", "dpor_secs", "none_secs")
 
 
 def load_rows(path: str) -> List[dict]:
@@ -106,23 +106,23 @@ def compare(
 
 def clock_inversions(groups: Dict[Tuple[str, str], Dict[int, dict]]) -> List[str]:
     """Families whose latest row explores fewer states under dpor than
-    under fusion but takes more than ``CLOCK_FACTOR`` times as long."""
+    under ``none`` but takes more than ``CLOCK_FACTOR`` times as long."""
     found: List[str] = []
     for (experiment, family), prs in sorted(groups.items()):
         row = prs[max(prs)]
         if any(column not in row for column in _CLOCK_COLUMNS):
             continue
-        if row["fusion_secs"] < MIN_FUSION_SECS:
+        if row["none_secs"] < MIN_NONE_SECS:
             continue
         if (
-            row["dpor_states"] < row["fusion_states"]
-            and row["dpor_secs"] > CLOCK_FACTOR * row["fusion_secs"]
+            row["dpor_states"] < row["none_states"]
+            and row["dpor_secs"] > CLOCK_FACTOR * row["none_secs"]
         ):
             label = f"{experiment}/{family}" if family else experiment
             found.append(
                 f"SLOWER {label} (PR {max(prs)}): dpor {row['dpor_secs']}s for "
-                f"{row['dpor_states']} states > {CLOCK_FACTOR}x fusion's "
-                f"{row['fusion_secs']}s for {row['fusion_states']}"
+                f"{row['dpor_states']} states > {CLOCK_FACTOR}x none's "
+                f"{row['none_secs']}s for {row['none_states']}"
             )
     return found
 

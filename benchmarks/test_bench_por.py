@@ -1,9 +1,8 @@
 """E-POR: partial-order reduction — state counts and wall-clock of the
-exhaustive explorer under ``--por=none`` (every interleaving),
-``--por=fusion`` (eager pure-local step fusion), and ``--por=dpor``
-(sleep-set dynamic POR, :mod:`repro.semantics.dpor`), with behavior-set
-equality asserted on every measured program and a machine-readable
-``BENCH`` json line per suite comparison."""
+exhaustive explorer under ``--por=none`` (every interleaving) and
+``--por=dpor`` (source-set dynamic POR, :mod:`repro.semantics.dpor`),
+with behavior-set equality asserted on every measured program and a
+machine-readable ``BENCH`` json line per suite comparison."""
 
 import dataclasses
 import json
@@ -18,15 +17,14 @@ from repro.semantics.promises import SyntacticPromises
 from repro.semantics.thread import SemanticsConfig
 
 
-def configs_for(test):
-    base = SemanticsConfig()
-    if test.promise_budget:
-        base = SemanticsConfig(
-            promise_oracle=SyntacticPromises(
-                budget=test.promise_budget, max_outstanding=test.promise_budget
-            )
+def config_for(test):
+    if not test.promise_budget:
+        return SemanticsConfig()
+    return SemanticsConfig(
+        promise_oracle=SyntacticPromises(
+            budget=test.promise_budget, max_outstanding=test.promise_budget
         )
-    return base, dataclasses.replace(base, fuse_local_steps=True)
+    )
 
 
 def test_por_reduction_across_suite(benchmark):
@@ -34,54 +32,54 @@ def test_por_reduction_across_suite(benchmark):
         rows = []
         for name in sorted(LITMUS_SUITE):
             test = LITMUS_SUITE[name]
-            plain_cfg, fused_cfg = configs_for(test)
+            plain_cfg = config_for(test)
             plain = behaviors(test.program, plain_cfg)
-            fused = behaviors(test.program, fused_cfg)
-            assert plain.traces == fused.traces, name
-            rows.append((name, plain.state_count, fused.state_count))
+            reduced = behaviors(test.program, dataclasses.replace(plain_cfg, por="dpor"))
+            assert plain.traces == reduced.traces, name
+            rows.append((name, plain.state_count, reduced.state_count))
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     total_plain = sum(p for _, p, _ in rows)
-    total_fused = sum(f for _, _, f in rows)
+    total_reduced = sum(r for _, _, r in rows)
     report(
         "E-POR/suite",
-        [(name, f"{p} -> {f} ({p/f:.2f}x)") for name, p, f in rows]
-        + [("TOTAL", f"{total_plain} -> {total_fused} ({total_plain/total_fused:.2f}x)")],
+        [(name, f"{p} -> {r} ({p/r:.2f}x)") for name, p, r in rows]
+        + [("TOTAL", f"{total_plain} -> {total_reduced} ({total_plain/total_reduced:.2f}x)")],
     )
-    assert total_fused < total_plain
+    assert total_reduced < total_plain
 
 
 def test_por_on_iriw(benchmark):
     program = iriw_rlx()
-    fused_cfg = SemanticsConfig(fuse_local_steps=True)
+    dpor_cfg = SemanticsConfig(por="dpor")
 
     def run():
-        return behaviors(program, fused_cfg)
+        return behaviors(program, dpor_cfg)
 
-    fused = benchmark(run)
+    reduced = benchmark(run)
     plain = behaviors(program)
-    assert plain.traces == fused.traces
+    assert plain.traces == reduced.traces
     report(
         "E-POR/iriw",
         [
             ("plain states", plain.state_count),
-            ("fused states", fused.state_count),
-            ("reduction", f"{plain.state_count / fused.state_count:.2f}x"),
+            ("dpor states", reduced.state_count),
+            ("reduction", f"{plain.state_count / reduced.state_count:.2f}x"),
         ],
     )
 
 
 #: Timing rounds of the litmus-suite mode comparison; each mode's
 #: seconds are its best round, and rounds interleave the modes so drift
-#: in machine speed hits all three alike.
+#: in machine speed hits both alike.
 ROUNDS = 5
 
 
 def test_por_modes_across_suite(benchmark):
-    """none/fusion/dpor on every litmus test: equality + BENCH trajectory."""
+    """none/dpor on every litmus test: equality + BENCH trajectory."""
 
-    modes = ("none", "fusion", "dpor")
+    modes = ("none", "dpor")
 
     def run():
         counts = {name: {} for name in sorted(LITMUS_SUITE)}
@@ -91,7 +89,7 @@ def test_por_modes_across_suite(benchmark):
             for por in modes:
                 elapsed = 0.0
                 for name in counts:
-                    base, _ = configs_for(LITMUS_SUITE[name])
+                    base = config_for(LITMUS_SUITE[name])
                     start = time.monotonic()
                     result = behaviors(
                         LITMUS_SUITE[name].program, dataclasses.replace(base, por=por)
@@ -101,7 +99,7 @@ def test_por_modes_across_suite(benchmark):
                     traces[name][por] = result.traces
                 best[por] = min(best[por], elapsed)
         for name, by_mode in traces.items():
-            assert by_mode["none"] == by_mode["fusion"] == by_mode["dpor"], name
+            assert by_mode["none"] == by_mode["dpor"], name
         return counts, best
 
     counts, best = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -113,20 +111,17 @@ def test_por_modes_across_suite(benchmark):
             (name, " / ".join(str(row[p]) for p in modes))
             for name, row in counts.items()
         ]
-        + [("TOTAL (none/fusion/dpor)",
-            f"{totals['none']} / {totals['fusion']} / {totals['dpor']}")],
+        + [("TOTAL (none/dpor)", f"{totals['none']} / {totals['dpor']}")],
     )
     print("BENCH " + json.dumps({
         "experiment": "por-modes-litmus",
         "none_states": totals["none"],
-        "fusion_states": totals["fusion"],
         "dpor_states": totals["dpor"],
         "none_secs": total_secs["none"],
-        "fusion_secs": total_secs["fusion"],
         "dpor_secs": total_secs["dpor"],
         "reduction": round(totals["none"] / totals["dpor"], 2),
     }))
-    assert totals["dpor"] < totals["fusion"] < totals["none"]
+    assert totals["dpor"] < totals["none"]
 
 
 def test_read_read_independence_regression():

@@ -1,8 +1,8 @@
 """Scalability series: how exploration cost grows with program size —
 the figure-style series that contextualizes every other experiment
 (states and wall-clock vs thread count / block width / promise budget),
-plus the POR trajectory: states explored under ``--por=none`` / ``fusion``
-/ ``dpor`` on the same families, emitted as machine-readable ``BENCH``
+plus the POR trajectory: states explored under ``--por=none`` and
+``--por=dpor`` on the same families, emitted as machine-readable ``BENCH``
 json lines (seeded into ``BENCH.json`` by this series)."""
 
 import json
@@ -83,7 +83,7 @@ def disjoint_threads(threads: int, width: int):
 
 def _por_row(program, label):
     row = {"family": label}
-    for por in ("none", "fusion", "dpor"):
+    for por in ("none", "dpor"):
         start = time.monotonic()
         explorer = Explorer(program, SemanticsConfig(por=por)).build()
         assert explorer.exhaustive
@@ -107,7 +107,7 @@ def test_states_por_disjoint_threads(benchmark, threads, width):
     )
     report(
         f"scalability/disjoint threads={threads} width={width}",
-        [(por, row[f"{por}_states"]) for por in ("none", "fusion", "dpor")]
+        [(por, row[f"{por}_states"]) for por in ("none", "dpor")]
         + [("reduction (none/dpor)", f"{row['reduction']}x")],
     )
     print("BENCH " + json.dumps({"experiment": "por-scalability", **row}))
@@ -131,11 +131,11 @@ def test_states_por_block_width(benchmark, width):
     )
     report(
         f"scalability/por width={width}",
-        [(por, row[f"{por}_states"]) for por in ("none", "fusion", "dpor")]
+        [(por, row[f"{por}_states"]) for por in ("none", "dpor")]
         + [("reduction (none/dpor)", f"{row['reduction']}x")],
     )
     print("BENCH " + json.dumps({"experiment": "por-scalability", **row}))
-    assert row["dpor_states"] < row["fusion_states"] < row["none_states"]
+    assert row["dpor_states"] < row["none_states"]
     # Every (Store v_i, Load v_i) pair genuinely conflicts, so the ~2.3x
     # of this family is the *optimal* reduction for its dependence
     # structure, not sleep-set slack: zero redundant executions, and the
@@ -151,7 +151,8 @@ def test_states_por_promise_disjoint(benchmark, threads, width):
     """The promise-bearing disjoint family: each thread non-atomically
     writes only its private locations, under a syntactic promise oracle.
     Before the certification-scoped footprints landed, ``--por=dpor``
-    silently fell back to fused BFS on any promise-bearing config; now
+    silently fell back to local-step fusion (a mode since removed) on
+    any promise-bearing config; now
     the promise/certification steps carry a location-window footprint, so
     per-thread windows are disjoint and the reduction is structural."""
     import dataclasses
@@ -164,7 +165,7 @@ def test_states_por_promise_disjoint(benchmark, threads, width):
     def run():
         row = {"family": f"promise-disjoint/threads={threads},width={width}"}
         traces = {}
-        for por in ("none", "fusion", "dpor"):
+        for por in ("none", "dpor"):
             start = time.monotonic()
             explorer = Explorer(
                 program, dataclasses.replace(base, por=por)
@@ -177,22 +178,22 @@ def test_states_por_promise_disjoint(benchmark, threads, width):
                 stats = explorer.dpor_stats
                 row["redundant_executions"] = stats.redundant_executions
                 row["promise_footprints"] = stats.promise_footprints
-        assert traces["none"] == traces["fusion"] == traces["dpor"]
+        assert traces["none"] == traces["dpor"]
         row["reduction"] = round(row["none_states"] / row["dpor_states"], 2)
         return row
 
     row = benchmark.pedantic(run, rounds=1, iterations=1)
     report(
         f"scalability/promise-disjoint threads={threads} width={width}",
-        [(por, row[f"{por}_states"]) for por in ("none", "fusion", "dpor")]
+        [(por, row[f"{por}_states"]) for por in ("none", "dpor")]
         + [
             ("reduction (none/dpor)", f"{row['reduction']}x"),
             ("redundant executions", row["redundant_executions"]),
         ],
     )
     print("BENCH " + json.dumps({"experiment": "por-scalability", **row}))
-    # Acceptance: at least 5x fewer states than fused BFS on the
-    # promise-bearing family, with zero redundant (sleep-blocked)
+    # Acceptance: at least 5x fewer states than the unreduced explorer on
+    # the promise-bearing family, with zero redundant (sleep-blocked)
     # executions — the optimality measure on disjoint families.
-    assert row["fusion_states"] >= 5 * row["dpor_states"]
+    assert row["none_states"] >= 5 * row["dpor_states"]
     assert row["redundant_executions"] == 0

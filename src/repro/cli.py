@@ -27,9 +27,9 @@ program order, so output is identical at any parallelism) and
 ``--cache DIR`` to reuse exhaustively-proved verdicts across runs from a
 persistent on-disk store (the one ``serve --store`` uses, see
 :mod:`repro.jobs`); ``validate`` and ``races`` accept multiple files.  Under ``--jobs``, a ``--deadline`` still bounds the *whole*
-sweep's wall clock.  ``--por {none,fusion,dpor}`` selects the
-partial-order reduction (``explore`` defaults to ``dpor``, other
-commands to ``none``); ``explore --stats`` prints certification-cache,
+sweep's wall clock.  ``--por {none,dpor}`` selects the
+partial-order reduction (``explore``, ``validate`` and ``races`` default
+to ``dpor``, other commands to ``none``); ``explore --stats`` prints certification-cache,
 DPOR, and intern-table counters, and ``explore --profile=FILE`` wraps
 the run in ``cProfile`` (top-20 cumulative functions).
 
@@ -594,13 +594,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="use the non-preemptive machine")
         p.add_argument("--csimp", action="store_true",
                        help="parse the structured CSimp surface syntax")
-        p.add_argument("--por", nargs="?", const="fusion", default=None,
-                       choices=["none", "fusion", "dpor"],
-                       help="partial-order reduction: 'none', 'fusion' "
-                            "(eager local-step fusion), or 'dpor' "
-                            "(sleep-set DPOR; behavior-preserving, "
-                            "interleaving machine only).  Bare --por means "
-                            "'fusion'.  Default: dpor for explore, "
+        p.add_argument("--por", default=None, choices=["none", "dpor"],
+                       help="partial-order reduction: 'none' (every "
+                            "interleaving) or 'dpor' (source-set DPOR; "
+                            "behavior- and race-preserving, interleaving "
+                            "machine only).  Default: dpor for explore, "
                             "validate and races; none elsewhere")
         p.add_argument("--por-conservative", action="store_true",
                        help="with --por=dpor, treat promise/reserve steps "

@@ -129,10 +129,7 @@ def semantics_config(
         kwargs["promise_oracle"] = SyntacticPromises(
             budget=promises, max_outstanding=promises
         )
-    if por == "fusion":
-        kwargs["fuse_local_steps"] = True
-        kwargs["por"] = "fusion"
-    elif por == "dpor":
+    if por == "dpor":
         kwargs["por"] = "dpor"
     if por_conservative:
         kwargs["por_conservative"] = True
@@ -145,9 +142,9 @@ def job_config(kind: str, source: str) -> SemanticsConfig:
     """The configuration a job runs under when its caller picks none.
 
     A litmus source selects its own (``//! promises: N``).  Validation
-    and race checks run under DPOR: refinement compares behavior sets,
-    which DPOR preserves, and the race scans downgrade themselves (see
-    :func:`repro.semantics.exploration.graph_scan_config`).
+    and race checks run under DPOR, which preserves both the behavior sets
+    refinement compares and the races the scans find
+    (:mod:`repro.semantics.dpor`, "Race scans").
     """
     if kind == "litmus":
         from repro.litmus.spec import spec_header

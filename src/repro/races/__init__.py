@@ -5,19 +5,18 @@
   the paper's optimization-correctness theorem;
 * :mod:`repro.races.rwrace` — read-write race *detection* (the paper allows
   rw-races in sources; the detector exists to demonstrate Fig. 5's claim
-  that LInv introduces them);
+  that LInv introduces them), sharing one graph scan with ww-RF;
 * :mod:`repro.races.tiered` — the three-tier ladder: static rw
   (:mod:`repro.static.rwraces`) and static ww
   (:mod:`repro.static.wwraces`) first, one shared exhaustive exploration
   only for whatever they leave inconclusive.
 """
 
-from repro.races.wwrf import RaceReport, WwRaceWitness, ww_nprf, ww_race_witness, ww_rf
+from repro.races.wwrf import RaceReport, WwRaceWitness, scan_races, ww_nprf, ww_rf
 from repro.races.ladder import TierOutcome, format_tiers
-from repro.races.rwrace import RwRaceWitness, rw_race_witness, rw_races
+from repro.races.rwrace import RwRaceWitness, RwReport, rw_races
 from repro.races.tiered import (
     RaceLadderReport,
-    RwReport,
     check_races_tiered,
     rw_races_tiered,
     ww_rf_tiered,
@@ -33,11 +32,10 @@ __all__ = [
     "WwRaceWitness",
     "check_races_tiered",
     "format_tiers",
-    "rw_race_witness",
     "rw_races",
     "rw_races_tiered",
+    "scan_races",
     "ww_nprf",
-    "ww_race_witness",
     "ww_rf",
     "ww_rf_tiered",
     "ww_rf_tiered_with_static",

@@ -11,19 +11,19 @@ Detection is memory-shaped, mirroring Fig. 11's ww-race rule with the next
 operation being a read: the "write racing with a later read" direction is
 visible as an unobserved message; the converse (a read racing with a write
 that has not happened yet) is the same race witnessed from the other
-thread's state, which the state-space sweep also visits.
+thread's state, which the state-space sweep also visits.  The predicate
+and the scan are shared with ww-RF (:func:`repro.races.wwrf.scan_races`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.lang.syntax import AccessMode, Load, Program
-from repro.memory.memory import Memory
-from repro.semantics.exploration import ExplorationSession, Explorer, require_scan_graph
+from repro.lang.syntax import Program
+from repro.robust.confidence import Confidence
+from repro.semantics.exploration import ExplorationSession
 from repro.semantics.thread import SemanticsConfig
-from repro.semantics.threadstate import ThreadState, next_op
 
 
 @dataclass(frozen=True)
@@ -38,44 +38,39 @@ class RwRaceWitness:
         return f"rw-race: thread {self.tid} about to na-read {self.loc!r} in {self.state}"
 
 
-def thread_generates_rw_race(
-    program: Program, tid: int, ts: ThreadState, mem: Memory
-) -> Optional[str]:
-    """The location of a read-write race generated by thread ``tid``'s next
-    operation, or ``None``."""
-    op = next_op(program, ts.local)
-    if not (isinstance(op, Load) and op.mode is AccessMode.NA):
-        return None
-    loc = op.loc
-    floor = ts.view.trlx.get(loc)
-    for message in mem.concrete(loc):
-        if message.to > floor and message not in ts.promises:
-            return loc
-    return None
+@dataclass(frozen=True)
+class RwReport:
+    """The verdict of a read-write race check (mirror of
+    :class:`~repro.races.wwrf.RaceReport`, with the full witness list —
+    rw detection is a census, not just a freedom bit)."""
 
+    race_free: bool
+    witnesses: Tuple[RwRaceWitness, ...]
+    exhaustive: bool
+    state_count: int
+    method: str = "exhaustive"
+    stop_reason: Optional[str] = None
+    #: POR downgrade reason (see :class:`~repro.races.wwrf.RaceReport`).
+    downgrade: Optional[str] = None
 
-def rw_race_witness(program: Program, state) -> Optional[RwRaceWitness]:
-    """A read-write race witness at one machine state, if any."""
-    tid = state.cur
-    loc = thread_generates_rw_race(program, tid, state.pool[tid], state.mem)
-    if loc is None:
-        return None
-    return RwRaceWitness(tid, loc, state)
+    @property
+    def confidence(self) -> Confidence:
+        """Evidence strength, as for :class:`~repro.races.wwrf.RaceReport`."""
+        return Confidence.PROVED if self.exhaustive else Confidence.BOUNDED
 
+    def __bool__(self) -> bool:
+        return self.race_free
 
-def rw_race_witnesses(program: Program, explorer: Explorer) -> Tuple[RwRaceWitness, ...]:
-    """All distinct (tid, loc) read-write race witnesses over a built
-    explorer's states (at most one representative per pair).  A DPOR
-    graph is refused with :class:`ValueError` (:func:`require_scan_graph`)."""
-    require_scan_graph(explorer)
-    seen = set()
-    witnesses: List[RwRaceWitness] = []
-    for state in explorer.states:
-        witness = rw_race_witness(program, state)
-        if witness is not None and (witness.tid, witness.loc) not in seen:
-            seen.add((witness.tid, witness.loc))
-            witnesses.append(witness)
-    return tuple(witnesses)
+    def __str__(self) -> str:
+        if self.race_free:
+            verdict = "race-free"
+        else:
+            verdict = f"RACY ({len(self.witnesses)} witnesses)"
+        if self.method == "static":
+            kind = "static"
+        else:
+            kind = "exhaustive" if self.exhaustive else "TRUNCATED"
+        return f"RwReport({verdict}, {self.state_count} states, {kind})"
 
 
 def rw_races(
@@ -87,6 +82,8 @@ def rw_races(
     """All distinct (tid, loc) read-write race witnesses over the reachable
     states (at most one representative per pair).  A ``session`` (whose
     config then applies) shares the scanned graph with a ww-RF check."""
-    session = session or ExplorationSession(config)
-    explorer = session.scan_graph(program, nonpreemptive)
-    return rw_race_witnesses(program, explorer)
+    # The scan lives with the ww-RF rule it shares (wwrf imports this
+    # module's witness and report types).
+    from repro.races.wwrf import _check
+
+    return _check(program, config, nonpreemptive, session)[1].witnesses

@@ -38,67 +38,12 @@ from typing import Optional, Tuple
 
 from repro.lang.syntax import Program
 from repro.races.ladder import TierOutcome, format_tiers
-from repro.races.rwrace import RwRaceWitness, rw_race_witnesses
-from repro.races.wwrf import RaceReport, ww_nprf, ww_rf
-from repro.robust.confidence import Confidence
+from repro.races.rwrace import RwReport
+from repro.races.wwrf import RaceReport, _check
 from repro.semantics.exploration import ExplorationSession
 from repro.semantics.thread import SemanticsConfig
 from repro.static.rwraces import StaticRwReport, analyze_rw_races
 from repro.static.wwraces import StaticRaceReport, analyze_ww_races
-
-
-@dataclass(frozen=True)
-class RwReport:
-    """The verdict of a read-write race check (mirror of
-    :class:`~repro.races.wwrf.RaceReport`, with the full witness list —
-    rw detection is a census, not just a freedom bit)."""
-
-    race_free: bool
-    witnesses: Tuple[RwRaceWitness, ...]
-    exhaustive: bool
-    state_count: int
-    method: str = "exhaustive"
-    stop_reason: Optional[str] = None
-    #: POR downgrade reason (see :class:`~repro.races.wwrf.RaceReport`).
-    downgrade: Optional[str] = None
-
-    @property
-    def confidence(self) -> Confidence:
-        """Evidence strength, as for :class:`RaceReport`."""
-        if self.method == "sampled":
-            return Confidence.SAMPLED
-        return Confidence.PROVED if self.exhaustive else Confidence.BOUNDED
-
-    def __bool__(self) -> bool:
-        return self.race_free
-
-    def __str__(self) -> str:
-        if self.race_free:
-            verdict = "race-free"
-        else:
-            verdict = f"RACY ({len(self.witnesses)} witnesses)"
-        if self.method == "static":
-            kind = "static"
-        else:
-            kind = "exhaustive" if self.exhaustive else "TRUNCATED"
-        return f"RwReport({verdict}, {self.state_count} states, {kind})"
-
-
-def _scan_rw(
-    program: Program, session: ExplorationSession, nonpreemptive: bool
-) -> RwReport:
-    """The exhaustive rw census over the session's scan graph."""
-    explorer = session.scan_graph(program, nonpreemptive)
-    witnesses = rw_race_witnesses(program, explorer)
-    return RwReport(
-        race_free=not witnesses,
-        witnesses=witnesses,
-        exhaustive=explorer.exhaustive,
-        state_count=len(explorer.states),
-        method="exhaustive",
-        stop_reason=explorer.stop_reason,
-        downgrade=session.scan_downgrade,
-    )
 
 
 def ww_rf_tiered(
@@ -132,8 +77,7 @@ def ww_rf_tiered_with_static(
             method="static",
         )
         return report, static
-    check = ww_nprf if nonpreemptive else ww_rf
-    return check(program, config, session), static
+    return _check(program, config, nonpreemptive, session)[0], static
 
 
 def rw_races_tiered(
@@ -157,8 +101,7 @@ def rw_races_tiered(
             method="static",
         )
         return report, static
-    session = session or ExplorationSession(config)
-    return _scan_rw(program, session, nonpreemptive), static
+    return _check(program, config, nonpreemptive, session)[1], static
 
 
 @dataclass(frozen=True)
@@ -195,8 +138,8 @@ def check_races_tiered(
     nonpreemptive: bool = False,
 ) -> RaceLadderReport:
     """Run the full ladder: static rw, static ww, then — only if either
-    was inconclusive — build **one** explorer and scan its states for
-    whichever race kinds remain undecided."""
+    was inconclusive — build **one** explorer and scan its states once,
+    keeping the verdict of whichever race kind remained undecided."""
     started = time.perf_counter()
     static_rw = analyze_rw_races(program)
     rw_elapsed = time.perf_counter() - started
@@ -215,17 +158,15 @@ def check_races_tiered(
         ww_report = RaceReport(True, None, True, 0, method="static")
     if rw_report is None or ww_report is None:
         started = time.perf_counter()
-        session = ExplorationSession(config)
+        ww_scan, rw_scan = _check(program, config, nonpreemptive, None)
         if ww_report is None:
-            check = ww_nprf if nonpreemptive else ww_rf
-            ww_report = check(program, config, session)
+            ww_report = ww_scan
         if rw_report is None:
-            rw_report = _scan_rw(program, session, nonpreemptive)
-        count = len(session.scan_graph(program, nonpreemptive).states)
+            rw_report = rw_scan
         tiers.append(TierOutcome(
             "exploration",
             time.perf_counter() - started,
             True,
-            f"{count} states",
+            f"{ww_scan.state_count} states",
         ))
     return RaceLadderReport(ww_report, rw_report, static_ww, static_rw, tuple(tiers))

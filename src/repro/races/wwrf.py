@@ -21,18 +21,29 @@ ever produces certified states, so the check is exactly state-wise.
 ``ww-NPRF`` is the same check over the non-preemptive machine; Lemma 5.1
 states the two are equivalent, which `tests/races/test_equivalence.py`
 validates on the litmus suite.
+
+One scan answers both race kinds: the rw-race predicate
+(:mod:`repro.races.rwrace`) is this rule with a non-atomic *read* as the
+next operation, so :func:`racing_access` returns the racing store or load
+and :func:`scan_races` walks a built graph once for both.  On the
+non-preemptive machine only ``cur`` is checked, as ww-NPRF defines it; on
+an interleaving graph — ``por="none"`` or DPOR, whose ``cur`` carries no
+meaning — a state races if *any* live thread would race as the current
+thread, since Fig. 9 can switch to it (:mod:`repro.semantics.dpor`,
+"Race scans").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional, Tuple, Union
 
-from repro.lang.syntax import AccessMode, Program, Store
+from repro.lang.syntax import AccessMode, Load, Program, Store
 from repro.memory.memory import Memory
 from repro.memory.timestamps import TS_ZERO
+from repro.races.rwrace import RwRaceWitness, RwReport
 from repro.robust.confidence import Confidence
-from repro.semantics.exploration import ExplorationSession, require_scan_graph
+from repro.semantics.exploration import ExplorationSession, Explorer
 from repro.semantics.thread import SemanticsConfig
 from repro.semantics.threadstate import ThreadState, next_op
 
@@ -66,18 +77,15 @@ class RaceReport:
     state_count: int
     method: str = "exhaustive"
     stop_reason: Optional[str] = None
-    #: Why a requested POR mode was not used for this check (e.g.
-    #: ``"state-graph-scan"`` when ``--por=dpor`` was downgraded to fused
-    #: BFS because the detector scans every reachable state), or ``None``.
+    #: Why the graph did not run the requested POR mode — the explorer's
+    #: ``por_downgrade`` (e.g. ``"nonpreemptive"`` under ``--por=dpor``),
+    #: or ``None``.
     downgrade: Optional[str] = None
 
     @property
     def confidence(self) -> Confidence:
         """Evidence strength: ``PROVED`` only for an exhaustive (or
-        statically proved) verdict, ``SAMPLED`` when the degradation
-        ladder produced it by sampling, else ``BOUNDED``."""
-        if self.method == "sampled":
-            return Confidence.SAMPLED
+        statically proved) verdict, else ``BOUNDED``."""
         return Confidence.PROVED if self.exhaustive else Confidence.BOUNDED
 
     def __bool__(self) -> bool:
@@ -92,35 +100,45 @@ class RaceReport:
         return f"RaceReport({verdict}, {self.state_count} states, {kind})"
 
 
-def thread_generates_ww_race(
-    program: Program, tid: int, ts: ThreadState, mem: Memory
-) -> Optional[str]:
-    """Whether thread ``tid`` generates a ww-race in ``(ts, mem)``; returns
-    the raced location, or ``None``."""
+def racing_access(
+    program: Program, ts: ThreadState, mem: Memory
+) -> Optional[Union[Store, Load]]:
+    """The next operation of thread state ``ts`` if it races in ``mem``: a
+    non-atomic store (ww-race) or load (rw-race) of a location holding a
+    concrete message that is neither one of the thread's own promises nor
+    observed by its view.  ``None`` otherwise."""
     op = next_op(program, ts.local)
-    if not (isinstance(op, Store) and op.mode is AccessMode.NA):
+    if not (isinstance(op, (Store, Load)) and op.mode is AccessMode.NA):
         return None
-    loc = op.loc
-    floor = ts.view.trlx.get(loc)
+    floor = ts.view.trlx.get(op.loc)
     if floor is None:
         # A TimeMap defaults absent entries to 0, but duck-typed views
         # (plain dicts in tests or external clients) return None; comparing
         # against None would raise, so pin the explicit default timestamp.
         floor = TS_ZERO
-    for message in mem.concrete(loc):
+    for message in mem.concrete(op.loc):
         if message.to > floor and message not in ts.promises:
-            return loc
+            return op
     return None
 
 
-def ww_race_witness(program: Program, state) -> Optional[WwRaceWitness]:
-    """``W ⟹ ww-Race`` for an (interleaving or non-preemptive) machine
-    state, inspecting the current thread per Fig. 11."""
-    tid = state.cur
-    loc = thread_generates_ww_race(program, tid, state.pool[tid], state.mem)
-    if loc is None:
-        return None
-    return WwRaceWitness(tid, loc, state)
+def scan_races(
+    program: Program, explorer: Explorer
+) -> Tuple[Tuple[WwRaceWitness, ...], Tuple[RwRaceWitness, ...]]:
+    """One pass over a built graph: a witness per distinct racing
+    ``(tid, loc)``, write-write and read-write, in state order."""
+    ww: Dict[Tuple[int, str], WwRaceWitness] = {}
+    rw: Dict[Tuple[int, str], RwRaceWitness] = {}
+    for state in explorer.states:
+        tids = (state.cur,) if explorer.nonpreemptive else range(len(state.pool))
+        for tid in tids:
+            op = racing_access(program, state.pool[tid], state.mem)
+            if op is None:
+                continue
+            found, kind = (ww, WwRaceWitness) if isinstance(op, Store) else (rw, RwRaceWitness)
+            if (tid, op.loc) not in found:
+                found[tid, op.loc] = kind(tid, op.loc, state)
+    return tuple(ww.values()), tuple(rw.values())
 
 
 def _check(
@@ -128,19 +146,20 @@ def _check(
     config: Optional[SemanticsConfig],
     nonpreemptive: bool,
     session: Optional[ExplorationSession],
-) -> RaceReport:
+) -> Tuple[RaceReport, RwReport]:
+    """The ww-RF report and the rw census of ``program``, from one scan of
+    its graph (shared through ``session``, whose config then applies)."""
     session = session or ExplorationSession(config)
-    explorer = require_scan_graph(session.scan_graph(program, nonpreemptive))
-    found = (ww_race_witness(program, state) for state in explorer.states)
-    witness = next((w for w in found if w is not None), None)
-    return RaceReport(
-        witness is None,
-        witness,
-        explorer.exhaustive,
-        len(explorer.states),
+    explorer = session.graph(program, nonpreemptive)
+    ww, rw = scan_races(program, explorer)
+    witness = ww[0] if ww else None
+    graph = dict(
+        exhaustive=explorer.exhaustive,
+        state_count=len(explorer.states),
         stop_reason=explorer.stop_reason,
-        downgrade=session.scan_downgrade,
+        downgrade=explorer.por_downgrade,
     )
+    return RaceReport(not ww, witness, **graph), RwReport(not rw, rw, **graph)
 
 
 def ww_rf(
@@ -151,7 +170,7 @@ def ww_rf(
     """``ww-RF(P)`` — write-write race freedom under the interleaving
     machine (Fig. 11).  A ``session`` (whose config then applies) shares
     the scanned graph with the caller's other checks."""
-    return _check(program, config, False, session)
+    return _check(program, config, False, session)[0]
 
 
 def ww_nprf(
@@ -161,4 +180,4 @@ def ww_nprf(
 ) -> RaceReport:
     """``ww-NPRF(P̂)`` — write-write race freedom under the non-preemptive
     machine (paper Sec. 5, Lemma 5.1)."""
-    return _check(program, config, True, session)
+    return _check(program, config, True, session)[0]

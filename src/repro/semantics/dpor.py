@@ -31,10 +31,10 @@ This module explores one representative per equivalence class using
 
 **Dependency relation.**  Transitions are per-thread macro-steps — one
 visible step plus the thread's deterministic pure-local suffix, with
-promise opportunities deferred past the suffix (sound for the same
-reason eager local-step fusion is: a local step changes neither memory
-nor candidates nor certification verdicts), so local chains never cost
-schedule nodes.  The footprint of a step is ``(reads, writes, flags)``
+promise opportunities deferred past the suffix (sound because a local
+step changes neither memory nor promise candidates nor certification
+verdicts, so it commutes with every step of every other thread), so
+local chains never cost schedule nodes.  The footprint of a step is ``(reads, writes, flags)``
 with the location sets
 packed into bit masks over the program's locations
 (:class:`FootprintIndex`).  Two footprints are dependent iff
@@ -87,8 +87,24 @@ that do not affect it are normalized away before a successor is interned:
 
 Without this, the same future is explored once per last mover and once
 per leftover register file; with it every other reduction (sleep-set
-subsumption, the macro-step memo) prunes more.  ``none``, ``fusion`` and
-the non-preemptive machine keep ``cur``: they take switch steps.
+subsumption, the macro-step memo) prunes more.  ``none`` and the
+non-preemptive machine keep ``cur``: they take switch steps.
+
+**Race scans.**  The ww-RF and rw race predicates (paper Fig. 11,
+:mod:`repro.races.wwrf`) read the reduced graph directly, asking of each
+stored state whether *any* live thread would race as the current
+thread.  Three facts make that exact:
+
+* Fig. 9 can switch to any live thread, so a racy ``(pool, mem)`` is a
+  racy ``(pool, t, mem)`` of the unreduced machine;
+* a macro-step ends where the thread's next operation stops being
+  pure-local, so every non-atomic store or load is the head of a stored
+  state;
+* two racing same-location accesses (at least one a write) are
+  dependent under the footprint relation, so both orders are explored.
+
+The differential against ``por="none"`` scans is
+``tests/semantics/test_por.py``.
 
 **Cycle proviso.**  A schedule hitting a state currently on the DFS stack
 (a back edge) marks that ancestor *fully expanded* (backtrack = all
@@ -672,7 +688,7 @@ def dpor_build(
                 # one whose next step is pure-local (empty footprint):
                 # nothing is ever dependent with it, so the race clause
                 # can never force a sibling and the node stays a singleton
-                # — local-step fusion falls out of DPOR as a special case.
+                # — eager local steps fall out of DPOR as a special case.
                 seed = next(
                     (tid for tid in awake if fps[tid] == EMPTY_FP), awake[0]
                 )
@@ -686,8 +702,7 @@ def dpor_build(
 
         A pure-local step commutes with every other thread's steps and
         leaves memory, promise candidates, and certification verdicts
-        unchanged (the fusion-mode argument, ``_fused_local_step``), so
-        folding the silent suffix into the macro-step neither loses
+        unchanged, so folding the silent suffix into the macro-step neither loses
         behaviors nor invalidates the recorded footprint — it only stops
         local chains from costing one schedule node (and one promise
         branching point) per step."""

@@ -42,7 +42,6 @@ from repro.semantics.threadstate import (
     ThreadPool,
     ThreadState,
     initial_thread_state,
-    next_op,
     update_pool,
 )
 
@@ -147,43 +146,9 @@ def initial_machine_state(program: Program, config: SemanticsConfig) -> MachineS
 
 
 #: Instruction/terminator classes with exactly one silent, memory-free
-#: successor — safe to fuse under partial-order reduction.
+#: successor: the pure-local steps a DPOR macro-step folds into its
+#: suffix (:mod:`repro.semantics.dpor`).
 _PURE_LOCAL = (Skip, Assign, Jmp, Be, Call, Return)
-
-
-def _fused_local_step(
-    program: Program,
-    state: MachineState,
-    config: SemanticsConfig,
-    cert_cache: Optional[Dict],
-    cert_stats: Optional[CertificationStats],
-    cert_precheck=None,
-) -> Optional[MachineState]:
-    """The unique pure-local successor of the current thread, if it exists
-    and passes certification.
-
-    A pure-local step (register computation, control transfer) commutes
-    with every step of every other thread and produces no observable
-    event, so executing it eagerly — without branching on switches or
-    promises — preserves the behavior set while pruning interleavings.
-    Promise opportunities are deferred, not lost: candidates and
-    placements are unchanged by a local step.
-    """
-    ts = state.current_thread
-    if ts.local.done:
-        return None
-    op = next_op(program, ts.local)
-    if not isinstance(op, _PURE_LOCAL):
-        return None
-    steps = list(thread_steps(program, ts, state.mem, config, allow_promises=False))
-    if len(steps) != 1:
-        return None
-    _, new_ts, new_mem = steps[0]
-    if not consistent(
-        program, new_ts, new_mem, config, cert_cache, cert_stats, cert_precheck
-    ):
-        return None
-    return MachineState(update_pool(state.pool, state.cur, new_ts), state.cur, new_mem)
 
 
 def machine_steps(
@@ -202,14 +167,6 @@ def machine_steps(
     ``cert_precheck`` optionally carries a static
     :class:`repro.static.certcheck.FulfillMap` that lets ``consistent``
     refute unfulfillable promise sets without searching."""
-    if config.fuse_local_steps or config.por == "fusion":
-        fused = _fused_local_step(
-            program, state, config, cert_cache, cert_stats, cert_precheck
-        )
-        if fused is not None:
-            yield SilentEvent(), fused
-            return
-
     # (sw-step): switch to any other live thread.  The memory is shared
     # with ``state``, which was renormalized when it was created, so no
     # renormalization check is needed on switch successors.

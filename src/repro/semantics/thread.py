@@ -86,13 +86,12 @@ class SemanticsConfig:
     skip certification searches it refutes (sound — identical results,
     fewer searches; only relevant when promises are enabled);
     ``por`` selects the partial-order reduction the explorer applies:
-    ``"none"`` (every interleaving), ``"fusion"`` (eager pure-local step
-    fusion, equivalent to ``fuse_local_steps``), or ``"dpor"`` (sleep-set
-    dynamic POR over the message-dependency relation, see
-    :mod:`repro.semantics.dpor`).  The default is ``"none"`` because
-    several consumers (the race detectors, the simulation checker) inspect
-    the *shape* of the state graph, not just its traces; the ``explore``
-    CLI defaults to ``dpor``.
+    ``"none"`` (every interleaving) or ``"dpor"`` (source-set dynamic
+    POR over the message-dependency relation, see
+    :mod:`repro.semantics.dpor`).  The default is ``"none"``, the
+    reference oracle every reduction is checked against; the race scans
+    read either graph, and the ``explore``, ``validate`` and ``races``
+    CLI commands default to ``dpor``.
     ``max_states`` / ``max_outputs`` bound exploration graph size and
     observable trace length.  ``budget`` optionally attaches a
     :class:`repro.robust.budget.Budget` (wall-clock deadline, state cap,
@@ -105,7 +104,6 @@ class SemanticsConfig:
     enable_reservations: bool = False
     gap_leaving_writes: bool = False
     certify_against_cap: bool = True
-    fuse_local_steps: bool = False
     por: str = "none"
     #: Under ``por="dpor"``, treat every transition as dependent on every
     #: other (the pre-source-set promise treatment) — prunes nothing, but

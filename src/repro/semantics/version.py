@@ -49,7 +49,6 @@ def config_digest(config: Any) -> str:
         config.enable_reservations,
         config.gap_leaving_writes,
         config.certify_against_cap,
-        config.fuse_local_steps,
         config.por,
         config.por_conservative,
         config.certification_max_steps,

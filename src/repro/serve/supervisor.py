@@ -334,7 +334,7 @@ class Supervisor:
         downgrade = verdict.get("downgrade_reason")
         if downgrade:
             # Structured POR-fallback accounting: surfaces in /metrics as
-            # e.g. ``downgrade:state-graph-scan``.
+            # e.g. ``downgrade:nonpreemptive``.
             self._bump(f"downgrade:{downgrade}")
         # State graphs the job built (validate/races): one per distinct
         # program and machine, so reuse shows as a lower count per job.

@@ -34,7 +34,8 @@ from repro.lang.syntax import Program
 from repro.litmus.generator import GeneratorConfig, random_wwrf_program
 from repro.opt.base import Optimizer
 from repro.races.ladder import TierOutcome, format_tiers
-from repro.races.tiered import RwReport, rw_races_tiered, ww_rf_tiered
+from repro.races.rwrace import RwReport
+from repro.races.tiered import rw_races_tiered, ww_rf_tiered
 from repro.races.wwrf import RaceReport, ww_rf
 from repro.robust.confidence import Confidence, derive_confidence
 from repro.semantics.exploration import ExplorationSession
@@ -160,7 +161,7 @@ def validate_optimizer(
 
     Each distinct program is explored at most once per machine (one
     :class:`~repro.semantics.exploration.ExplorationSession`): the race
-    checks run first, refinement then reuses their scan graphs, and a
+    checks run first, refinement then reuses their graphs, and a
     target equal to its source reuses every source verdict.
     """
     config = config or SemanticsConfig()

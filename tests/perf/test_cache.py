@@ -269,8 +269,8 @@ class TestSemanticsVersionBump:
 
     def test_config_digest_tracks_por_mode(self):
         digests = {config_digest(SemanticsConfig(por=por))
-                   for por in ("none", "fusion", "dpor")}
-        assert len(digests) == 3
+                   for por in ("none", "dpor")}
+        assert len(digests) == 2
 
     def test_config_digest_tracks_por_conservative(self):
         precise = config_digest(SemanticsConfig(por="dpor"))

@@ -73,22 +73,3 @@ class TestFig5:
         for out in outs:
             if out:  # the thread printed (r1, r2)
                 assert out[0] == 9
-
-
-def test_rw_scan_refuses_a_dpor_graph():
-    """``rw_race_witnesses`` reads each stored state's ``cur``; a DPOR
-    graph does not record it, so the scan raises instead of answering."""
-    import pytest
-
-    from repro.races.rwrace import rw_race_witnesses
-    from repro.semantics.exploration import Explorer, graph_scan_config
-    from repro.semantics.thread import SemanticsConfig
-
-    program = straightline_program(
-        [[Store("a", Const(1), AccessMode.NA)], [Load("r", "a", AccessMode.NA)]]
-    )
-    dpor = SemanticsConfig(por="dpor")
-    with pytest.raises(ValueError, match="graph_scan_config"):
-        rw_race_witnesses(program, Explorer(program, dpor).build())
-    scan_config, _ = graph_scan_config(dpor)
-    assert rw_race_witnesses(program, Explorer(program, scan_config).build())

@@ -104,7 +104,7 @@ def test_nprf_variant_runs():
 
 
 def test_duck_typed_view_with_missing_entry():
-    """Regression: `thread_generates_ww_race` reads `ts.view.trlx.get(loc)`.
+    """Regression: `racing_access` reads `ts.view.trlx.get(loc)`.
     A real TimeMap defaults absent entries to 0, but a duck-typed view (a
     plain dict, as external clients or tests may supply) returns None —
     which used to flow into `message.to > floor` and raise TypeError.  The
@@ -113,7 +113,7 @@ def test_duck_typed_view_with_missing_entry():
 
     from repro.memory.memory import Memory
     from repro.memory.message import Message
-    from repro.races.wwrf import thread_generates_ww_race
+    from repro.races.wwrf import racing_access
     from repro.semantics.threadstate import initial_thread_state
 
     program = straightline_program(
@@ -125,28 +125,7 @@ def test_duck_typed_view_with_missing_entry():
         Memory.initial(["a"]).items
         + (Message("a", 1, 0, 1),)
     )
-    assert thread_generates_ww_race(program, 0, ts, mem) == "a"
+    assert racing_access(program, ts, mem).loc == "a"
 
     # With only the init message (to = 0 = the default floor): no race.
-    assert thread_generates_ww_race(
-        program, 0, ts, Memory.initial(["a"])
-    ) is None
-
-
-def test_scan_refuses_a_dpor_graph():
-    """The scan inspects each stored state's ``cur``, which a DPOR graph
-    does not record: handed one, it raises instead of answering."""
-    import pytest
-
-    from repro.semantics.exploration import ExplorationSession, Explorer
-
-    class DporSession(ExplorationSession):
-        def scan_graph(self, program, nonpreemptive=False):
-            return Explorer(program, SemanticsConfig(por="dpor")).build()
-
-    program = straightline_program(
-        [[Store("a", Const(1), AccessMode.NA)], [Store("a", Const(2), AccessMode.NA)]]
-    )
-    with pytest.raises(ValueError, match="graph_scan_config"):
-        ww_rf(program, session=DporSession())
-    assert not ww_rf(program, SemanticsConfig(por="dpor")).race_free
+    assert racing_access(program, ts, Memory.initial(["a"])) is None

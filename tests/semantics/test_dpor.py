@@ -123,8 +123,8 @@ class TestPropertyEquality:
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=60))
     def test_promise_heavy_configs(self, seed):
-        """``por="dpor"`` must stay behavior-equal even where the
-        soundness gate downgrades it to the fused BFS."""
+        """``por="dpor"`` must stay behavior-equal on promise-bearing
+        configs, where footprints are certification-scoped."""
         program = random_wwrf_program(
             seed, GeneratorConfig(threads=2, instrs_per_thread=3)
         )
@@ -194,7 +194,6 @@ class TestStatsAndGating:
         stats = explorer.dpor_stats
         assert stats is not None and stats.nodes > 0
         assert stats.promise_footprints > 0
-        assert not explorer.config.fuse_local_steps
 
     def test_conservative_mode_is_behavior_equal_and_not_smaller(self):
         """``--por-conservative`` (all-dependent footprints) is the
@@ -224,14 +223,16 @@ class TestStatsAndGating:
 
     def test_gap_leaving_writes_downgrades_with_reason(self):
         """Gap-leaving placements interact with cross-location timestamp
-        renormalization; the explorer records the structured downgrade."""
+        renormalization; the explorer records the structured downgrade and
+        builds the plain ``por="none"`` graph."""
         explorer = Explorer(
             sb(), dataclasses.replace(DPOR, gap_leaving_writes=True)
         )
         explorer.build()
         assert explorer.dpor_stats is None
         assert explorer.por_downgrade == "gap-leaving-writes"
-        assert explorer.config.fuse_local_steps
+        plain = Explorer(sb(), SemanticsConfig(gap_leaving_writes=True)).build()
+        assert explorer.states == plain.states
 
 
 class _OneIteration:
@@ -427,10 +428,9 @@ class TestCheckpointResume:
 
 
 class TestNewlyEnabledCorpora:
-    """The configurations PR 8 downgraded to fused BFS — promises,
-    reservations, their mix — now run real DPOR; three-way behavior-set
-    equality {none, fusion, dpor} is the oracle, with the conservative
-    all-dependent mode as a differential check on the precise relation."""
+    """Promises, reservations and their mix run real DPOR; three-way
+    behavior-set equality {none, dpor, conservative dpor} is the oracle,
+    the conservative all-dependent mode checking the precise relation."""
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=300))
@@ -442,9 +442,11 @@ class TestNewlyEnabledCorpora:
             promise_oracle=SyntacticPromises(budget=1, max_outstanding=1)
         )
         plain = behaviors(program, base)
-        fused = behaviors(program, dataclasses.replace(base, por="fusion"))
         reduced = behaviors(program, dataclasses.replace(base, por="dpor"))
-        assert plain.traces == fused.traces == reduced.traces
+        conservative = behaviors(
+            program, dataclasses.replace(base, por="dpor", por_conservative=True)
+        )
+        assert plain.traces == reduced.traces == conservative.traces
 
     # Reservation configs cannot be equality-tested through full
     # exploration: reserve steps stack reservations at ever-higher

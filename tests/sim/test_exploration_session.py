@@ -64,35 +64,39 @@ class TestSession:
         assert session.explorations == 2
 
     def test_scan_graph_yields_behaviors(self):
+        """The graph a race scan reads is the DPOR graph itself, and it
+        answers the behavior question too."""
         program = racy()
         session = ExplorationSession(DPOR)
-        graph = session.scan_graph(program)
-        assert graph.config.por == "fusion"
-        assert session.scan_downgrade == "state-graph-scan"
+        graph = session.graph(program)
+        assert graph.config.por == "dpor" and graph.dpor_stats is not None
         assert session.behaviors(program).traces == behaviors(program, ORACLE).traces
         assert session.explorations == 1
 
     def test_machines_are_kept_apart(self):
         program = racy()
         session = ExplorationSession(DPOR)
-        session.scan_graph(program)
+        session.graph(program)
         session.behaviors(program, nonpreemptive=True)
         assert session.explorations == 2
 
-    def test_truncated_scan_graph_is_not_reused(self):
+    def test_truncated_graph_is_returned_as_it_is(self):
+        """Exploring a truncated graph again under the same config would
+        stop the same way: its behaviors come from the graph at hand."""
         program = racy()
         config = SemanticsConfig(por="dpor", max_states=3)
         session = ExplorationSession(config)
-        assert not session.scan_graph(program).exhaustive
+        assert not session.graph(program).exhaustive
         bset = session.behaviors(program)
-        assert session.explorations == 2
+        assert session.explorations == 1
+        assert not bset.exhaustive
         assert bset.traces == behaviors(program, config).traces
 
     def test_oracle_config_scans_the_plain_graph(self):
         session = ExplorationSession(ORACLE)
         program = racy()
-        assert session.scan_graph(program).config == ORACLE
-        assert session.scan_downgrade is None
+        assert session.graph(program).config == ORACLE
+        assert ww_rf(program, session=session).downgrade is None
         assert session.behaviors(program) == behaviors(program, ORACLE)
         assert session.explorations == 1
 
@@ -124,7 +128,7 @@ class TestValidation:
     def test_race_scans_feed_refinement(self):
         program = racy()
         report = validate_optimizer(identity_optimizer(), program, DPOR, static_tier=False)
-        assert report.source_wwrf.downgrade == "state-graph-scan"
+        assert report.source_wwrf.downgrade is None
         assert not report.source_wwrf.race_free
         assert report.explorations == 1
 
@@ -146,6 +150,7 @@ class TestValidation:
         # One interleaving scan (ww) and one non-preemptive scan (rw, then
         # the non-preemptive behaviors).
         assert report.explorations == 2
+        assert report.source_rw.downgrade == "nonpreemptive"
         reference = np_behaviors(program, ORACLE).traces
         assert report.refinement.source_behaviors.traces == reference
 

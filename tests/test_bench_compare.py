@@ -4,11 +4,11 @@ within-row seconds check fails "fewer states, more time" and nothing else."""
 from benchmarks.bench_compare import clock_inversions, group_rows
 
 
-def _row(pr, dpor_states, dpor_secs, fusion_states=100, fusion_secs=0.4, family="f"):
+def _row(pr, dpor_states, dpor_secs, none_states=100, none_secs=0.4, family="f"):
     return {
         "pr": pr, "experiment": "por", "family": family,
         "dpor_states": dpor_states, "dpor_secs": dpor_secs,
-        "fusion_states": fusion_states, "fusion_secs": fusion_secs,
+        "none_states": none_states, "none_secs": none_secs,
     }
 
 
@@ -21,7 +21,7 @@ def test_within_margin_or_more_states_or_short_rows_pass():
     rows = [
         _row(1, 50, 0.5, family="margin"),  # exactly 1.25x
         _row(1, 150, 0.9, family="more-states"),
-        _row(1, 50, 0.09, fusion_secs=0.04, family="short"),
+        _row(1, 50, 0.09, none_secs=0.04, family="short"),
     ]
     assert clock_inversions(group_rows(rows)) == []
 
