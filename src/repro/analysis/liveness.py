@@ -15,6 +15,15 @@ Relaxed accesses and acquire *reads* provide no such guarantee to other
 threads, so DCE may cross them freely (paper Sec. 7.1, last paragraph).
 
 Registers are thread-private, so no barrier ever applies to them.
+
+**These are DCE facts, not semantic liveness.**  A register that feeds
+only a dead non-atomic store (or a dead load's destination) counts as
+dead here, because DCE deletes that store.  The unoptimized program still
+executes the store and writes the register's value to memory, so these
+facts must never be used to discard machine state: dropping such a
+register from a state changes what the store writes.  The explorer's
+state normalization uses its own semantic liveness
+(:meth:`repro.semantics.dpor.FootprintIndex.normalize`).
 """
 
 from __future__ import annotations

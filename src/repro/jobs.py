@@ -344,9 +344,8 @@ def _machine_equivalence(program: Program, promises: int, record: Dict[str, Any]
 
 
 def _races(program: Program, options: Dict[str, Any], config: SemanticsConfig) -> Dict[str, Any]:
-    from repro.races.rwrace import rw_races
     from repro.races.tiered import check_races_tiered
-    from repro.races.wwrf import ww_nprf, ww_rf
+    from repro.races.wwrf import _check, ww_nprf
     from repro.semantics.exploration import ExplorationSession
 
     nonpreemptive = options["np"]
@@ -361,10 +360,13 @@ def _races(program: Program, options: Dict[str, Any], config: SemanticsConfig) -
         witnesses = ladder.rw.witnesses
         explorations = int(ladder.state_count > 0)  # one shared graph, if any
     else:
-        check = ww_nprf if nonpreemptive else ww_rf
+        # One scan of the interleaving graph answers both race kinds; with
+        # --np the ww verdict reads the non-preemptive graph instead.
         session = ExplorationSession(config)
-        report = check(program, config, session)
-        witnesses = rw_races(program, config, session=session)
+        report, rw_report = _check(program, config, False, session)
+        if nonpreemptive:
+            report = ww_nprf(program, config, session)
+        witnesses = rw_report.witnesses
         explorations = session.explorations
     lines.append(f"ww-RF: {report}")
     if witnesses:

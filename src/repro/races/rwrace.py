@@ -26,6 +26,17 @@ from repro.semantics.exploration import ExplorationSession
 from repro.semantics.thread import SemanticsConfig
 
 
+def seen_by(state: object, tid: int) -> object:
+    """``state`` as the racing thread ``tid`` sees it, with ``tid`` as the
+    current thread.  A racy state of an interleaving graph races for
+    whichever thread Fig. 9 switches to, and a DPOR state stores
+    ``cur == 0`` whoever moved, so the stored ``cur`` need not name the
+    racer."""
+    if getattr(state, "cur", tid) == tid:
+        return state
+    return state.replace(cur=tid)
+
+
 @dataclass(frozen=True)
 class RwRaceWitness:
     """A thread about to na-read a location with an unobserved write."""
@@ -35,7 +46,8 @@ class RwRaceWitness:
     state: object
 
     def __str__(self) -> str:
-        return f"rw-race: thread {self.tid} about to na-read {self.loc!r} in {self.state}"
+        state = seen_by(self.state, self.tid)
+        return f"rw-race: thread {self.tid} about to na-read {self.loc!r} in {state}"
 
 
 @dataclass(frozen=True)

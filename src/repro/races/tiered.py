@@ -110,7 +110,8 @@ class RaceLadderReport:
 
     ww: RaceReport
     rw: RwReport
-    static_ww: StaticRaceReport
+    #: ``None`` when the ladder ran without the static ww tier.
+    static_ww: Optional[StaticRaceReport]
     static_rw: StaticRwReport
     #: Per-tier timing/decision trail (empty for reports built by hand).
     tiers: Tuple[TierOutcome, ...] = ()
@@ -136,29 +137,34 @@ def check_races_tiered(
     program: Program,
     config: Optional[SemanticsConfig] = None,
     nonpreemptive: bool = False,
+    session: Optional[ExplorationSession] = None,
+    static_ww: bool = True,
 ) -> RaceLadderReport:
     """Run the full ladder: static rw, static ww, then — only if either
     was inconclusive — build **one** explorer and scan its states once,
-    keeping the verdict of whichever race kind remained undecided."""
+    keeping the verdict of whichever race kind remained undecided.  A
+    ``session`` (whose config then applies) shares that graph with the
+    caller's other checks; ``static_ww=False`` leaves the ww verdict to
+    the scan (``static_ww`` of the report is then ``None``)."""
     started = time.perf_counter()
     static_rw = analyze_rw_races(program)
     rw_elapsed = time.perf_counter() - started
-    started = time.perf_counter()
-    static_ww = analyze_ww_races(program)
-    ww_elapsed = time.perf_counter() - started
-    tiers = [
-        TierOutcome("static-rw", rw_elapsed, static_rw.race_free),
-        TierOutcome("static-ww", ww_elapsed, static_ww.race_free),
-    ]
+    tiers = [TierOutcome("static-rw", rw_elapsed, static_rw.race_free)]
+    static_ww_report: Optional[StaticRaceReport] = None
+    if static_ww:
+        started = time.perf_counter()
+        static_ww_report = analyze_ww_races(program)
+        ww_elapsed = time.perf_counter() - started
+        tiers.append(TierOutcome("static-ww", ww_elapsed, static_ww_report.race_free))
     rw_report: Optional[RwReport] = None
     ww_report: Optional[RaceReport] = None
     if static_rw.race_free:
         rw_report = RwReport(True, (), True, 0, method="static")
-    if static_ww.race_free:
+    if static_ww_report is not None and static_ww_report.race_free:
         ww_report = RaceReport(True, None, True, 0, method="static")
     if rw_report is None or ww_report is None:
         started = time.perf_counter()
-        ww_scan, rw_scan = _check(program, config, nonpreemptive, None)
+        ww_scan, rw_scan = _check(program, config, nonpreemptive, session)
         if ww_report is None:
             ww_report = ww_scan
         if rw_report is None:
@@ -169,4 +175,6 @@ def check_races_tiered(
             True,
             f"{ww_scan.state_count} states",
         ))
-    return RaceLadderReport(ww_report, rw_report, static_ww, static_rw, tuple(tiers))
+    return RaceLadderReport(
+        ww_report, rw_report, static_ww_report, static_rw, tuple(tiers)
+    )

@@ -41,7 +41,7 @@ from typing import Dict, Optional, Tuple, Union
 from repro.lang.syntax import AccessMode, Load, Program, Store
 from repro.memory.memory import Memory
 from repro.memory.timestamps import TS_ZERO
-from repro.races.rwrace import RwRaceWitness, RwReport
+from repro.races.rwrace import RwRaceWitness, RwReport, seen_by
 from repro.robust.confidence import Confidence
 from repro.semantics.exploration import ExplorationSession, Explorer
 from repro.semantics.thread import SemanticsConfig
@@ -57,7 +57,8 @@ class WwRaceWitness:
     state: object
 
     def __str__(self) -> str:
-        return f"ww-race: thread {self.tid} about to na-write {self.loc!r} in {self.state}"
+        state = seen_by(self.state, self.tid)
+        return f"ww-race: thread {self.tid} about to na-write {self.loc!r} in {state}"
 
 
 @dataclass(frozen=True)

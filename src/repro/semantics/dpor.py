@@ -72,23 +72,48 @@ that macro-step as alternative outcomes (``_cancel_closure``).
 
 **State identity.**  A stored state stands for its future: the output
 traces it can still produce (paper Sec. 3, Fig. 9).  Under DPOR that
-future is fixed by the thread pool and the memory alone, so two fields
-that do not affect it are normalized away before a successor is interned:
+future is fixed by the *live* part of the thread pool and the memory, so
+everything else is normalized away before a successor is interned:
 
 * ``MachineState.cur`` is 0 in every DPOR state, the same as the initial
   state.  DPOR runs whole per-thread macro-steps and never takes switch
   steps, so "who moved last" carries no meaning on a DPOR graph.
 * A thread that has finished with no promises or reservations left is
   *retired* (``_retire``): its registers, stack, views and promise budget
-  are dropped, keeping only its final position.  No step of any thread
-  ever reads them — the thread takes no further steps, and every other
-  thread's step and certification read only its own state and the
-  memory.
+  are dropped, keeping only its final position.
+* A live thread keeps only the registers that are live at its position
+  (``FootprintIndex.normalize``): a register is dead if every path
+  overwrites it before reading it.  Liveness is semantic — a store's
+  value, CAS operands, ``print``, an assign's expression and a branch
+  condition all read — and registers are one file per thread, so at a
+  ``call`` and at the ``return`` of any call target every register is
+  live.  (The DCE facts of :mod:`repro.analysis.liveness` are *not*
+  semantic liveness and must not be used here.)
+* A location no live thread can load, store or CAS again from its
+  position, and on which no thread holds a promise or reservation, is
+  *dead*: its messages go, and so do its entries in every thread view,
+  every message view and the SC view (``FootprintIndex.strip_thread``
+  and ``strip_memory``).  At a ``call``, and at any ``return`` of a
+  program with calls, every location counts as live.  Liveness only
+  shrinks along a run, so a location dies on the step of the last
+  thread that could access it: ``execute`` tests
+  ``live(head) & ~live(new) & ~live(others)``, which is usually 0.  The
+  initial state loses the locations no thread reaches at all.  With
+  reservations (a reserve step may target any location) or a promise
+  oracle other than :class:`~repro.semantics.promises.NoPromises` and
+  :class:`~repro.semantics.promises.SyntacticPromises` (it may read
+  anything), no location is dead; an unknown oracle keeps every register
+  too.
 
-Without this, the same future is explored once per last mover and once
-per leftover register file; with it every other reduction (sleep-set
-subsumption, the macro-step memo) prunes more.  ``none`` and the
-non-preemptive machine keep ``cur``: they take switch steps.
+All of this is sound for one reason: a PS2.1 step on ``y`` reads and
+writes only ``y``'s messages and the ``y``-components of views,
+certification runs only the thread's own code against the capped memory,
+and outputs print registers — so the normalized state has exactly the
+original's future.  Without it, the same future is explored once per
+last mover, per leftover register value and per dead message history;
+with it every other reduction (sleep-set subsumption, the macro-step
+memo) prunes more.  ``none`` and the non-preemptive machine keep all of
+it: they are the reference.
 
 **Race scans.**  The ww-RF and rw race predicates (paper Fig. 11,
 :mod:`repro.races.wwrf`) read the reduced graph directly, asking of each
@@ -126,7 +151,12 @@ The same pair recurs under many schedule nodes (every interleaving of
 independent steps of *other* threads leaves it unchanged), so each
 build computes it once (``macro_outcomes``) and replays it on later
 transitions (``memo_hits``); only the successor machine states are
-rebuilt, renormalized and interned per transition.
+rebuilt, renormalized and interned per transition.  Narrower still, a
+macro-step reads and writes only the thread's live locations and the SC
+view (a promise elsewhere cannot certify), so a miss of the
+``(thread state, memory)`` key tries a second one: the thread state, the
+item groups of its live locations, and the SC view.  Its entries are
+stored as per-location deltas and re-applied to the current memory.
 
 The reduced graph is written into the owning
 :class:`~repro.semantics.exploration.Explorer`'s ``states``/``edges``/
@@ -143,7 +173,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.lang.syntax import Cas, Fence, FenceKind, Load, Print, Program, Store
+from repro.lang.syntax import (
+    Be,
+    Call,
+    Cas,
+    Fence,
+    FenceKind,
+    Jmp,
+    Load,
+    Print,
+    Program,
+    Return,
+    Store,
+    expr_regs,
+    instr_def,
+    instr_uses,
+)
+from repro.memory.memory import Memory
+from repro.memory.message import Message
+from repro.memory.timemap import View
 from repro.perf.intern import intern_footprint
 from repro.robust.budget import BudgetExhausted
 from repro.semantics.certification import certification_locations, consistent
@@ -167,8 +215,9 @@ FLAG_PRM = 4
 Footprint = Tuple[int, int, int]
 
 #: One outcome of a macro-step: ``(output label or None, thread state,
-#: memory)`` after the step, its certification and its pure-local suffix.
-Outcome = Tuple[Optional[int], ThreadState, object]
+#: memory, live location mask of that thread state)`` after the step, its
+#: certification and its pure-local suffix.
+Outcome = Tuple[Optional[int], ThreadState, object, int]
 
 #: The empty footprint — independent of everything (pure-local steps).
 EMPTY_FP: Footprint = (0, 0, 0)
@@ -191,9 +240,10 @@ def dependent(a: Footprint, b: Footprint) -> bool:
 
 
 class FootprintIndex:
-    """Per-exploration footprint oracle: location bit assignment plus
-    memoized per-instruction, certification-window and promise-candidate
-    masks.
+    """Per-exploration footprint and liveness oracle: location bit
+    assignment plus memoized per-instruction, certification-window and
+    promise-candidate masks, and per-position live registers and live
+    locations (see "State identity" in the module docs).
 
     ``thread_footprint`` must over-approximate the footprint of *every*
     step the thread could take next, and must be a function of the thread
@@ -209,11 +259,18 @@ class FootprintIndex:
         "stats",
         "loc_bit",
         "universe",
+        "drops_registers",
+        "drops_locations",
         "_oracle_kind",
         "_max_outstanding",
         "_op_fp",
         "_window",
         "_cand",
+        "_reg_bit",
+        "_call_targets",
+        "_live",
+        "_loc_names",
+        "_stripped",
     )
 
     def __init__(
@@ -243,6 +300,24 @@ class FootprintIndex:
         self._op_fp: Dict[Tuple[str, str, int], Footprint] = {}
         self._window: Dict[FrozenSet[str], int] = {}
         self._cand: Dict[FrozenSet[str], int] = {}
+        # Liveness normalization.  An unknown oracle may read registers or
+        # memory anywhere when it proposes promises, and a reserve step may
+        # target any location, so those configs keep what they would drop.
+        self.drops_registers = self._oracle_kind != "other"
+        self.drops_locations = (
+            self.drops_registers and not config.enable_reservations
+        )
+        #: Register bits, assigned as the liveness tables meet registers;
+        #: "every register" is the all-ones mask -1.
+        self._reg_bit: Dict[str, int] = {}
+        self._call_targets: Optional[FrozenSet[str]] = None
+        #: func -> {(label, offset): (live register mask, live location mask)}
+        self._live: Dict[str, Dict[Tuple[str, int], Tuple[int, int]]] = {}
+        self._loc_names: Dict[int, Tuple[str, ...]] = {}
+        #: ``(thread state or memory, dead mask) -> stripped`` (a step
+        #: killing a location strips the same bystanders on every
+        #: transition out of a state).
+        self._stripped: Dict[Tuple[object, int], object] = {}
 
     def mask(self, locs) -> int:
         """The bit mask of a location set (unknown locations, which can
@@ -338,6 +413,227 @@ class FootprintIndex:
                 self.stats.promise_footprints += 1
         return intern_footprint((reads, writes, flags))
 
+    # -- liveness (state identity) ---------------------------------------------
+
+    def _function_liveness(self, func: str) -> Dict[Tuple[str, int], Tuple[int, int]]:
+        """``(label, offset) -> (live registers, live locations)`` for one
+        function, built on first use.
+
+        A register is live if some path reads it (store value, CAS
+        operands, ``print``, assign expression, branch condition) before a
+        load, CAS or assign overwrites it; a location is live if some path
+        loads, stores or CASes it.  Registers are one file per thread, so
+        a ``call`` and the ``return`` of a call target make every register
+        live; a ``call``, and any ``return`` of a program with calls, make
+        every location live.  This is semantic liveness: unlike the DCE
+        facts of :mod:`repro.analysis.liveness`, a register feeding a
+        store stays live whatever the store's fate.
+        """
+        table = self._live.get(func)
+        if table is not None:
+            return table
+        program = self.program
+        if self._call_targets is None:
+            self._call_targets = frozenset(
+                block.term.func
+                for _, heap in program.functions
+                for _, block in heap.blocks
+                if isinstance(block.term, Call)
+            )
+        reg_bit, loc_bit = self._reg_bit, self.loc_bit
+
+        def regs(names) -> int:
+            m = 0
+            for name in names:
+                m |= reg_bit.setdefault(name, 1 << len(reg_bit))
+            return m
+
+        everything = (-1, self.universe)
+        at_return = (
+            -1 if func in self._call_targets else 0,
+            self.universe if self._call_targets else 0,
+        )
+        def step(instr) -> Tuple[int, int, int]:
+            """(registers kept, registers read, location accessed)."""
+            dst = instr_def(instr)
+            kept = -1 if dst is None else ~regs((dst,))
+            loc = loc_bit[instr.loc] if isinstance(instr, (Load, Store, Cas)) else 0
+            return kept, regs(instr_uses(instr)), loc
+
+        blocks = program.function(func).blocks
+        transfer = {label: [step(instr) for instr in block.instrs] for label, block in blocks}
+        cond = {
+            label: regs(expr_regs(block.term.cond))
+            for label, block in blocks
+            if isinstance(block.term, Be)
+        }
+        entry = {label: (0, 0) for label, _ in blocks}
+        table: Dict[Tuple[str, int], Tuple[int, int]] = {}
+        changed = True
+        while changed:
+            changed = False
+            for label, block in reversed(blocks):
+                term = block.term
+                if isinstance(term, Jmp):
+                    live = entry[term.target]
+                elif isinstance(term, Be):
+                    (r1, l1), (r2, l2) = entry[term.then_target], entry[term.else_target]
+                    live = (r1 | r2 | cond[label], l1 | l2)
+                elif isinstance(term, Call):
+                    live = everything
+                else:
+                    assert isinstance(term, Return)
+                    live = at_return
+                offset = len(block.instrs)
+                table[label, offset] = live
+                live_regs, live_locs = live
+                for kept, used, loc in reversed(transfer[label]):
+                    offset -= 1
+                    live_regs = (live_regs & kept) | used
+                    live_locs |= loc
+                    table[label, offset] = (live_regs, live_locs)
+                if (live_regs, live_locs) != entry[label]:
+                    entry[label] = (live_regs, live_locs)
+                    changed = True
+        self._live[func] = table
+        return table
+
+    def live_locations(self, ts: ThreadState) -> int:
+        """The mask of locations a future step of ``ts`` may access, plus
+        those it holds promises or reservations on."""
+        local = ts.local
+        mask = 0
+        if not local.done:
+            table = self._live.get(local.func) or self._function_liveness(local.func)
+            mask = table[local.label, local.offset][1]
+        if ts.promises.items:
+            mask |= self.mask(item.var for item in ts.promises.items)
+        return mask
+
+    def locations_of(self, mask: int) -> Tuple[str, ...]:
+        """The sorted location names of a mask."""
+        names = self._loc_names.get(mask)
+        if names is None:
+            names = tuple(loc for loc, bit in self.loc_bit.items() if bit & mask)
+            self._loc_names[mask] = names
+        return names
+
+    def normalize(self, ts: ThreadState) -> ThreadState:
+        """``ts`` with its dead registers dropped (``_retire`` if it has
+        finished): no future step reads them."""
+        local = ts.local
+        if local.done:
+            return _retire(ts)
+        if not local.regs or not self.drops_registers:
+            return ts
+        live = self._function_liveness(local.func)[local.label, local.offset][0]
+        bits = self._reg_bit
+        # Bits are assigned per function table, so a register only code
+        # in another function mentions may have none yet: it is live iff
+        # the mask is "every register but ..." (negative).
+        kept = tuple(
+            entry
+            for entry in local.regs
+            if (live < 0 if bits.get(entry[0]) is None else bits[entry[0]] & live)
+        )
+        if len(kept) == len(local.regs):
+            return ts
+        local = LocalState(local.func, local.label, local.offset, kept, local.stack)
+        return ThreadState(
+            local, ts.view, ts.promises, ts.vrel, ts.vacq, ts.promise_budget
+        )
+
+    def strip_thread(self, ts: ThreadState, dead: int) -> ThreadState:
+        """``ts`` without view entries on the ``dead`` locations."""
+        key = (ts, dead)
+        out = self._stripped.get(key)
+        if out is None:
+            names = self.locations_of(dead)
+            view = _strip_view(ts.view, names)
+            vrel = _strip_view(ts.vrel, names)
+            vacq = _strip_view(ts.vacq, names)
+            out = ts
+            if view is not ts.view or vrel is not ts.vrel or vacq is not ts.vacq:
+                out = ThreadState(
+                    ts.local, view, ts.promises, vrel, vacq, ts.promise_budget
+                )
+            self._stripped[key] = out
+        return out
+
+    def strip_memory(self, mem: Memory, dead: int) -> Memory:
+        """``mem`` without the ``dead`` locations: their messages go, and
+        so do their entries in every message view and the SC view."""
+        key = (mem, dead)
+        out = self._stripped.get(key)
+        if out is None:
+            names = self.locations_of(dead)
+            if all(var in names for var in mem._by_var):
+                # Every location dies (the last live thread finished):
+                # message and SC views can mention no other.
+                self._stripped[key] = _EMPTY_MEMORY
+                return _EMPTY_MEMORY
+            out = mem
+            for name in names:
+                group = out.per_loc(name)
+                if group:
+                    out = out._with_var_items(name, (), out._isum - _group_sum(group))
+            for var, group in tuple(out._by_var.items()):
+                kept = tuple(_strip_item(item, names) for item in group)
+                if any(new is not old for new, old in zip(kept, group)):
+                    isum = out._isum - _group_sum(group) + _group_sum(kept)
+                    out = out._with_var_items(var, kept, isum)
+            out = out.with_sc_view(_strip_timemap(out.sc_view, names))
+            self._stripped[key] = out
+        return out
+
+    def initial_state(self, state: MachineState) -> MachineState:
+        """The initial state without the locations no thread can access
+        (declared but unused atomics, code no thread reaches): later states
+        lose a location on the step that kills it (``dpor_build``)."""
+        if not self.drops_locations:
+            return state
+        live = 0
+        for ts in state.pool:
+            live |= self.live_locations(ts)
+        dead = self.mask(state.mem.locations()) & ~live
+        if not dead:
+            return state
+        pool = tuple(self.strip_thread(ts, dead) for ts in state.pool)
+        return MachineState(pool, state.cur, self.strip_memory(state.mem, dead))
+
+
+_EMPTY_MEMORY = Memory(())
+
+
+def _group_sum(group) -> int:
+    return sum(item._hashcode for item in group)
+
+
+def _strip_timemap(timemap, names):
+    for var, _ in timemap.entries:
+        if var in names:
+            for name in names:
+                timemap = timemap.set(name, 0)
+            break
+    return timemap
+
+
+def _strip_view(view: View, names) -> View:
+    tna = _strip_timemap(view.tna, names)
+    trlx = _strip_timemap(view.trlx, names)
+    if tna is view.tna and trlx is view.trlx:
+        return view
+    return View(tna, trlx)
+
+
+def _strip_item(item, names):
+    if not isinstance(item, Message):
+        return item
+    view = _strip_view(item.view, names)
+    if view is item.view:
+        return item
+    return Message(item.var, item.value, item.frm, item.to, view)
+
 
 @dataclass
 class DporStats:
@@ -364,7 +660,8 @@ class DporStats:
     #: Total nodes across all recorded wakeup sequences (tree size).
     wakeup_nodes: int = 0
     #: Transitions whose outcomes came from the macro-step memo (the
-    #: ``(thread state, memory)`` pair had already been executed).
+    #: ``(thread state, memory)`` pair, or the thread state with the same
+    #: live memory slice and SC view, had already been executed).
     memo_hits: int = 0
 
     @property
@@ -570,6 +867,36 @@ def _retire(ts: ThreadState) -> ThreadState:
     return ThreadState(LocalState(local.func, local.label, local.offset, done=True))
 
 
+def _record_deltas(mem, outcomes: List[Outcome], names: FrozenSet[str]):
+    """The outcomes of a macro-step over ``mem`` as ``(label, thread state,
+    deltas, SC view, live mask)``, where each delta ``(location, items,
+    hash delta)`` replaces one location's item group; ``None`` if some
+    outcome changed a location outside ``names`` (then only the exact memo
+    applies)."""
+    recorded = []
+    old_groups = mem._by_var
+    for label, new_ts, new_mem, live in outcomes:
+        deltas = []
+        new_groups = new_mem._by_var
+        for name in old_groups.keys() | new_groups.keys():
+            old = old_groups.get(name, ())
+            new = new_groups.get(name, ())
+            if old is new or old == new:
+                continue
+            if name not in names:
+                return None
+            deltas.append((name, new, _group_sum(new) - _group_sum(old)))
+        recorded.append((label, new_ts, tuple(deltas), new_mem.sc_view, live))
+    return recorded
+
+
+def _apply_deltas(mem, deltas, sc_view):
+    """``mem`` with recorded per-location deltas and SC view applied."""
+    for name, items, hash_delta in deltas:
+        mem = mem._with_var_items(name, items, mem._isum + hash_delta)
+    return mem.with_sc_view(sc_view)
+
+
 def _cancel_closure(
     program, ts: ThreadState, mem, config: SemanticsConfig
 ) -> List[Tuple[ThreadState, object]]:
@@ -729,14 +1056,16 @@ def dpor_build(
         return ts, mem
 
     def macro_outcomes(head: ThreadState, mem) -> List[Outcome]:
-        """Every ``(label, new_ts, new_mem)`` a macro-step of ``head`` over
-        ``mem`` reaches: the certified visible steps, each extended through
-        its pure-local suffix, plus the reservation cancel closure of a
-        finishing thread.  A thread step and its certification read only
-        the thread's own state and the shared memory, so this is a pure
-        function of ``(head, mem)`` (``execute`` memoizes it).  Finished
-        threads come out retired (``_retire``), so the memo pays for that
-        normalization once per pair."""
+        """Every outcome (``(label, new_ts, new_mem, live)``) a macro-step
+        of ``head`` over ``mem`` reaches: the certified visible steps, each
+        extended through its pure-local suffix, plus the reservation cancel
+        closure of a finishing thread.  A thread step and its certification
+        read only the thread's own state and the shared memory, so this is
+        a pure function of ``(head, mem)`` (``outcomes_of`` memoizes it).
+        Each outcome's thread state is normalized
+        (``FootprintIndex.normalize``: dead registers dropped, a finished
+        thread retired) and carries its live location mask, so the memo
+        pays for both once per entry."""
         outcomes: List[Outcome] = []
         # A macro-step starting at a pure-local op is the deterministic
         # local chain itself: no promise branching at its head either
@@ -760,7 +1089,7 @@ def dpor_build(
                 continue
             label = int(event.value) if is_out else None
             new_ts, new_mem = local_suffix(new_ts, new_mem)
-            outcomes.append((label, _retire(new_ts), new_mem))
+            outcomes.append(outcome(label, new_ts, new_mem))
             if (
                 config.enable_reservations
                 and new_ts.local.done
@@ -771,29 +1100,75 @@ def dpor_build(
                 for closed_ts, closed_mem in _cancel_closure(
                     program, new_ts, new_mem, config
                 ):
-                    outcomes.append((None, _retire(closed_ts), closed_mem))
+                    outcomes.append(outcome(None, closed_ts, closed_mem))
         return outcomes
+
+    def outcome(label: Optional[int], ts: ThreadState, mem) -> Outcome:
+        ts = index.normalize(ts)
+        live = index.live_locations(ts) if index.drops_locations else 0
+        return (label, ts, mem, live)
 
     #: ``(thread state, memory) -> macro_outcomes(...)`` for this build
     #: only: a resumed build refills it, checkpoints never carry it.
     memo: Dict[Tuple[ThreadState, object], List[Outcome]] = {}
+    #: ``(thread state, its live slice of the memory, SC view) ->
+    #: _record_deltas(...)``: the second key, tried when ``memo`` misses
+    #: (see "Macro-step memo").
+    slice_memo: Dict[tuple, List[tuple]] = {}
+
+    def outcomes_of(head: ThreadState, mem, head_live: int) -> List[Outcome]:
+        """``macro_outcomes(head, mem)``, from either memo if it can;
+        ``head_live`` is ``head``'s live location mask."""
+        pair = (head, mem)
+        outcomes = memo.get(pair)
+        if outcomes is not None:
+            stats.memo_hits += 1
+            return outcomes
+        if not index.drops_locations or head_live == index.universe:
+            outcomes = memo[pair] = macro_outcomes(head, mem)
+            return outcomes
+        names = index.locations_of(head_live)
+        key = (head, tuple(mem.per_loc(name) for name in names), mem.sc_view)
+        recorded = slice_memo.get(key)
+        if recorded is not None:
+            stats.memo_hits += 1
+            outcomes = memo[pair] = [
+                (label, new_ts, _apply_deltas(mem, deltas, sc_view), live)
+                for label, new_ts, deltas, sc_view, live in recorded
+            ]
+            return outcomes
+        outcomes = memo[pair] = macro_outcomes(head, mem)
+        recorded = _record_deltas(mem, outcomes, frozenset(names))
+        if recorded is not None:
+            slice_memo[key] = recorded
+        return outcomes
 
     def execute(node: _Node, tid: int) -> List[int]:
         state = explorer.states[node.idx]
         succs: List[int] = []
         seen: Set[int] = set()
-        head = state.pool[tid]
-        pair = (head, state.mem)
-        outcomes = memo.get(pair)
-        if outcomes is None:
-            outcomes = memo[pair] = macro_outcomes(head, state.mem)
-        else:
-            stats.memo_hits += 1
-        for label, new_ts, new_mem in outcomes:
+        pool = state.pool
+        head = pool[tid]
+        head_live = index.live_locations(head) if index.drops_locations else 0
+        others = None
+        for label, new_ts, new_mem, new_live in outcomes_of(head, state.mem, head_live):
+            new_pool = update_pool(pool, tid, new_ts)
+            # A location dies only on the step of the last thread that
+            # could access it: usually nothing dies and this costs one
+            # mask test.
+            gone = head_live & ~new_live
+            if gone:
+                if others is None:
+                    others = 0
+                    for other, ts in enumerate(pool):
+                        if other != tid:
+                            others |= index.live_locations(ts)
+                dead = gone & ~others
+                if dead:
+                    new_pool = tuple(index.strip_thread(ts, dead) for ts in new_pool)
+                    new_mem = index.strip_memory(new_mem, dead)
             # ``cur`` is always 0 (see "State identity" above).
-            new_state = MachineState(
-                update_pool(state.pool, tid, new_ts), 0, new_mem
-            )
+            new_state = MachineState(new_pool, 0, new_mem)
             if new_mem.needs_renormalize:
                 new_state = renormalized_state(new_state)
             succ_idx = intern(new_state)
@@ -809,6 +1184,12 @@ def dpor_build(
         return succs
 
     if not stack:
+        initial = explorer.states[0]
+        normal = index.initial_state(initial)
+        if normal is not initial:
+            del explorer._index[initial]
+            explorer._index[normal] = 0
+            explorer.states[0] = normal
         push(0, frozenset())
 
     next_checkpoint = len(explorer.states) + checkpoint_interval

@@ -31,7 +31,11 @@ from typing import Any
 #: finished promise-free threads are retired — so DPOR graphs (state
 #: counts, truncated-run digests) differ while behavior *sets* do not;
 #: ``-3`` entries must miss.
-SEMANTICS_VERSION = "ps21-repro-4"
+#: ``-5``: DPOR keys states by their *live* future — dead registers and
+#: locations no live thread can access are dropped, and macro-steps are
+#: memoized per live memory slice — so DPOR graphs differ again while
+#: behavior *sets* do not; ``-4`` entries must miss.
+SEMANTICS_VERSION = "ps21-repro-5"
 
 
 def config_digest(config: Any) -> str:

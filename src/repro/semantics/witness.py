@@ -33,11 +33,10 @@ class Witness:
     def describe(self) -> str:
         """A human-readable rendering of the schedule.
 
-        Each step names the thread that moved into it: the one whose pool
-        entry changed from the previous state.  ``cur`` is only the
-        fallback (the initial state, and a switch step, which changes no
-        pool entry) — DPOR graphs do not record it (every stored state has
-        ``cur == 0``)."""
+        Each step names the thread that moved into it (``_mover``).
+        ``cur`` is only the fallback (the initial state, and a switch step,
+        which changes no pool entry) — DPOR graphs do not record it (every
+        stored state has ``cur == 0``)."""
         lines = []
         prev = None
         for i, state in enumerate(self.states):
@@ -49,13 +48,23 @@ class Witness:
 
 
 def _mover(prev, state) -> int:
-    """The thread whose pool entry differs between ``prev`` and ``state``,
-    else ``state.cur``."""
-    if prev is not None:
-        for tid, (before, after) in enumerate(zip(prev.pool, state.pool)):
-            if before != after:
-                return tid
-    return state.cur
+    """The thread that moved from ``prev`` to ``state``: the one whose
+    local state or promise set changed.  A DPOR step that kills a location
+    also rewrites the other threads' views, so a changed view alone does
+    not name the mover; it is only the next fallback (a step that changes
+    nothing else), then ``state.cur``."""
+    if prev is None:
+        return state.cur
+    changed = [
+        tid
+        for tid, (before, after) in enumerate(zip(prev.pool, state.pool))
+        if before != after
+    ]
+    for tid in changed:
+        before, after = prev.pool[tid], state.pool[tid]
+        if before.local != after.local or before.promises != after.promises:
+            return tid
+    return changed[0] if changed else state.cur
 
 
 def find_witness(

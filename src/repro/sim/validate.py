@@ -35,7 +35,7 @@ from repro.litmus.generator import GeneratorConfig, random_wwrf_program
 from repro.opt.base import Optimizer
 from repro.races.ladder import TierOutcome, format_tiers
 from repro.races.rwrace import RwReport
-from repro.races.tiered import rw_races_tiered, ww_rf_tiered
+from repro.races.tiered import check_races_tiered, rw_races_tiered, ww_rf_tiered
 from repro.races.wwrf import RaceReport, ww_rf
 from repro.robust.confidence import Confidence, derive_confidence
 from repro.semantics.exploration import ExplorationSession
@@ -171,18 +171,34 @@ def validate_optimizer(
         raise AssertionError(f"{optimizer.name} changed the atomics set ι")
     changed = target != source
     session = ExplorationSession(config)
-    check = ww_rf_tiered if static_tier else ww_rf
-    source_wwrf = check(source, config, session=session)
-    target_wwrf = None
-    if check_target_wwrf and source_wwrf.race_free:
-        target_wwrf = check(target, config, session=session) if changed else source_wwrf
-    source_rw = target_rw = None
-    if report_rw:
-        source_rw, _ = rw_races_tiered(source, config, nonpreemptive, session)
-        if changed:
-            target_rw, _ = rw_races_tiered(target, config, nonpreemptive, session)
-        else:
-            target_rw = source_rw
+
+    def race_checks(program: Program) -> Tuple[RaceReport, Optional[RwReport]]:
+        """The ww-RF report and, with ``report_rw``, the rw census of
+        ``program``: each graph is scanned once for both race kinds."""
+        if report_rw and not nonpreemptive:
+            ladder = check_races_tiered(
+                program, config, session=session, static_ww=static_tier
+            )
+            return ladder.ww, ladder.rw
+        check = ww_rf_tiered if static_tier else ww_rf
+        ww = check(program, config, session=session)
+        if not report_rw:
+            return ww, None
+        # The rw census reads the non-preemptive graph: another graph.
+        rw, _ = rw_races_tiered(program, config, nonpreemptive, session)
+        return ww, rw
+
+    source_wwrf, source_rw = race_checks(source)
+    want_target_wwrf = check_target_wwrf and source_wwrf.race_free
+    target_wwrf: Optional[RaceReport] = None
+    target_rw: Optional[RwReport] = None
+    if not changed:
+        target_rw = source_rw
+        target_wwrf = source_wwrf if want_target_wwrf else None
+    elif want_target_wwrf or report_rw:
+        target_wwrf, target_rw = race_checks(target)
+        if not want_target_wwrf:
+            target_wwrf = None
     refinement = check_refinement(source, target, config, nonpreemptive, session)
     return ValidationReport(
         optimizer=optimizer.name,

@@ -129,3 +129,40 @@ def test_duck_typed_view_with_missing_entry():
 
     # With only the init message (to = 0 = the default floor): no race.
     assert racing_access(program, ts, Memory.initial(["a"])) is None
+
+
+RACER_IS_THREAD_1 = """
+atomics f;
+fn t1 {
+entry:
+    d.na := 1;
+    f.rlx := 1;
+    return;
+}
+fn t2 {
+entry:
+    r1 := f.rlx;
+    be r1, write, skip_it;
+write:
+    d.na := 2;
+    return;
+skip_it:
+    return;
+}
+threads t1, t2;
+"""
+
+
+def test_dpor_race_witness_names_the_racer():
+    """Only thread 1 can race (it writes ``d`` after seeing thread 0's
+    relaxed flag, which carries no view).  A DPOR state stores
+    ``cur == 0``; the witness renders the state with the racer current."""
+    from repro.lang.parser import parse_program
+
+    program = parse_program(RACER_IS_THREAD_1)
+    report = ww_rf(program, SemanticsConfig(por="dpor"))
+    assert not report.race_free
+    assert (report.witness.tid, report.witness.loc) == (1, "d")
+    assert report.witness.state.cur == 0
+    text = str(report.witness)
+    assert "thread 1" in text and "W(cur=t1," in text and "cur=t0" not in text

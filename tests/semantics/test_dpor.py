@@ -69,18 +69,96 @@ class TestDependency:
         assert not dependent(EMPTY_FP, EMPTY_FP)
 
 
+def _mentioned_locations(state) -> set:
+    """Every location a state's memory, message views, SC view or thread
+    views mention."""
+    maps = [state.mem.sc_view]
+    for item in state.mem:
+        if item.is_concrete:
+            maps += [item.view.tna, item.view.trlx]
+    for ts in state.pool:
+        for view in (ts.view, ts.vrel, ts.vacq):
+            maps += [view.tna, view.trlx]
+    return {item.var for item in state.mem} | {
+        var for timemap in maps for var in timemap.vars()
+    }
+
+
+def _future(program, local, reg=None):
+    """Walk the paths from ``local``'s position, independently of the
+    liveness tables under test.  With ``reg``: whether some path reads it
+    before overwriting it.  Without: the locations some path accesses.
+    A ``call``, and a ``return`` of a call target (registers) or of any
+    function in a program with calls (locations), counts as everything:
+    ``True`` / ``None``."""
+    from repro.lang.syntax import (
+        Be, Call, Cas, Load, Return, Store, expr_regs, instr_def, instr_uses,
+        terminator_targets,
+    )
+
+    targets = {
+        block.term.func
+        for _, heap in program.functions
+        for _, block in heap.blocks
+        if isinstance(block.term, Call)
+    }
+    heap = program.function(local.func)
+    locs, seen, work = set(), set(), [(local.label, local.offset)]
+    while work:
+        label, offset = work.pop()
+        if (label, offset) in seen:
+            continue
+        seen.add((label, offset))
+        block = heap[label]
+        if offset < len(block.instrs):
+            instr = block.instrs[offset]
+            if reg is not None and reg in instr_uses(instr):
+                return True
+            if isinstance(instr, (Load, Store, Cas)):
+                locs.add(instr.loc)
+            if reg is None or instr_def(instr) != reg:
+                work.append((label, offset + 1))
+            continue
+        term = block.term
+        if reg is None:
+            if isinstance(term, Call) or (isinstance(term, Return) and targets):
+                return None
+        elif isinstance(term, Call) or (
+            isinstance(term, Return) and local.func in targets
+        ) or (isinstance(term, Be) and reg in expr_regs(term.cond)):
+            return True
+        work.extend((target, 0) for target in terminator_targets(term))
+    return False if reg is not None else locs
+
+
 def _assert_keyed_by_future(explorer) -> None:
-    """Every stored DPOR state has ``cur == 0``, and every finished
-    thread with no promises or reservations is retired."""
+    """Every stored DPOR state has ``cur == 0``, every finished thread
+    with no promises or reservations is retired, no live thread holds a
+    dead register, and no item or view entry mentions a location that no
+    thread can access again (checked against ``_future``, not the
+    explorer's own liveness tables)."""
     from repro.memory.timemap import BOTTOM_VIEW
 
+    program = explorer.program
+    index = dpor.FootprintIndex(program, explorer.config)
     for state in explorer.states:
         assert state.cur == 0
+        live = set()
         for ts in state.pool:
-            if ts.local.done and not len(ts.promises):
-                assert ts.local.regs == () and ts.local.stack == ()
+            local = ts.local
+            if local.done and not len(ts.promises):
+                assert local.regs == () and local.stack == ()
                 assert ts.view == ts.vrel == ts.vacq == BOTTOM_VIEW
                 assert ts.promise_budget == 0
+            live |= {item.var for item in ts.promises}
+            if local.done:
+                continue
+            if index.drops_registers:
+                assert all(_future(program, local, reg) for reg, _ in local.regs)
+            future = _future(program, local)
+            live |= program.locations() if future is None else future
+        if index.drops_locations:
+            assert not _mentioned_locations(state) - live
 
 
 class TestLitmusEquality:
@@ -276,26 +354,171 @@ class TestStateIdentity:
         assert reduced.traces == behaviors(program, config).traces
 
 
+BRANCH = """
+atomics x, y, f;
+fn t1 {
+entry:
+    r1 := x.rlx;
+    r2 := y.rlx;
+    be r1, yes, no;
+yes:
+    print(r2);
+    return;
+no:
+    f.rlx := 1;
+    return;
+}
+fn t2 {
+entry:
+    x.rlx := 1;
+    y.rlx := 1;
+    r1 := f.rlx;
+    print(r1);
+    return;
+}
+threads t1, t2;
+"""
+
+LOOP = """
+atomics x;
+fn t1 {
+entry:
+    r1 := x.acq;
+    be r1, out, entry;
+out:
+    r2 := d.na;
+    print(r2);
+    return;
+}
+fn t2 {
+entry:
+    d.na := 5;
+    x.rel := 1;
+    return;
+}
+threads t1, t2;
+"""
+
+CALL = """
+atomics x, y;
+fn get {
+entry:
+    r1 := x.rlx;
+    return;
+}
+fn t1 {
+entry:
+    r5 := 7;
+    call(get, after);
+after:
+    r2 := y.rlx;
+    print(r1);
+    print(r2);
+    return;
+}
+fn t2 {
+entry:
+    x.rlx := 1;
+    y.rlx := 1;
+    return;
+}
+threads t1, t2;
+"""
+
+
+class TestLiveFuture:
+    """DPOR states drop dead registers and dead locations; the trace set
+    stays the ``por="none"`` one on hand-written control flow."""
+
+    @pytest.mark.parametrize("source", [BRANCH, LOOP, CALL], ids=["branch", "loop", "call"])
+    def test_matches_none(self, source):
+        from repro.lang.parser import parse_program
+
+        program = parse_program(source)
+        explorer = Explorer(program, DPOR)
+        assert explorer.behaviors().traces == behaviors(program).traces
+        _assert_keyed_by_future(explorer)
+        # Once every thread has finished, no location is live: every
+        # terminal state has an empty memory.
+        terminal = [s for s, done in zip(explorer.states, explorer.terminal) if done]
+        assert terminal and all(not len(s.mem) for s in terminal)
+
+    def test_registers_die_but_survive_calls(self):
+        from repro.lang.parser import parse_program
+
+        program = parse_program(CALL)
+        explorer = Explorer(program, DPOR)
+        explorer.build()
+        t1 = [s.pool[0].local for s in explorer.states]
+        # Inside ``get`` every register is live (the caller reads them
+        # after the return), so ``r5`` survives the call ...
+        assert any(l.func == "get" and "r5" in l.reg_map for l in t1)
+        # ... and is dropped at ``after``, where nothing reads it.
+        after = [l for l in t1 if l.func == "t1" and l.label == "after"]
+        assert after and all("r5" not in l.reg_map for l in after)
+        # Inside ``get`` every location is live, so none is dropped there.
+        locations = program.locations()
+        assert all(
+            {item.var for item in s.mem} == locations
+            for s in explorer.states
+            if s.pool[0].local.func == "get"
+        )
+
+    def test_reservations_and_unknown_oracles_drop_no_location(self):
+        """A reserve step may target any location, and an unknown oracle
+        may promise anywhere: every state keeps every location."""
+
+        @dataclasses.dataclass(frozen=True)
+        class OtherOracle(SyntacticPromises):
+            """Not one of the oracle classes the footprints know."""
+
+        program = LITMUS_SUITE["MP-relacq"].program
+        locations = program.locations()
+        # Reserve steps never run out, so that graph is capped.
+        reserving = SemanticsConfig(enable_reservations=True, max_states=400, por="dpor")
+        explorer = Explorer(program, reserving)
+        explorer.build()
+        assert not dpor.FootprintIndex(program, reserving).drops_locations
+        assert len(explorer.states) == 400
+        assert all({item.var for item in s.mem} >= locations for s in explorer.states)
+
+        other = SemanticsConfig(promise_oracle=OtherOracle(budget=1, max_outstanding=1))
+        explorer = Explorer(program, dataclasses.replace(other, por="dpor"))
+        index = dpor.FootprintIndex(program, explorer.config)
+        assert not index.drops_locations
+        assert explorer.behaviors().traces == behaviors(program, other).traces
+        assert all({item.var for item in s.mem} == locations for s in explorer.states)
+        # The unknown oracle keeps registers too: it may read them.
+        assert not index.drops_registers
+
+
 class TestMacroStepMemo:
     def test_each_distinct_macro_step_runs_once(self, monkeypatch):
         """Over the litmus suite, ``thread_steps`` runs once per distinct
-        ``(thread state, memory)`` pair executed; a memo-bypassed run (one
-        resumed build per DFS iteration, so the memo is always cold) takes
-        the same transitions, nodes and states."""
+        ``(thread state, live slice of the memory, SC view)`` executed —
+        the live slice being the item groups of the locations the thread
+        can still access; a memo-bypassed run (one resumed build per DFS
+        iteration, so the memo is always cold) takes the same
+        transitions, nodes and states."""
         # Macro-step heads are the thread_steps calls made by
         # macro_outcomes itself, not its local-suffix or cancel calls.
         heads = []
+        index = None
         real = dpor.thread_steps
 
         def counting(program, ts, mem, *args, **kwargs):
             if sys._getframe(1).f_code.co_name == "macro_outcomes":
-                heads.append((ts, mem))
+                names = index.locations_of(index.live_locations(ts))
+                live_slice = tuple(mem.per_loc(name) for name in names)
+                heads.append((ts, live_slice, mem.sc_view))
             return real(program, ts, mem, *args, **kwargs)
 
         monkeypatch.setattr(dpor, "thread_steps", counting)
         total_hits = 0
         for name, test in sorted(LITMUS_SUITE.items()):
             config = dataclasses.replace(suite_config(test), por="dpor")
+            index = dpor.FootprintIndex(test.program, config)
+            assert index.drops_locations, name
             heads.clear()
             memoized = Explorer(test.program, config)
             memoized.build()

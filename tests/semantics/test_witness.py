@@ -87,3 +87,52 @@ def test_none_witness_description_is_cur():
     rendered = [line.split()[2] for line in witness.describe().splitlines()]
     assert rendered == expected
     assert _printing_step_thread(witness) == "t1"
+
+
+KILLER = """
+atomics x, f;
+fn t1 {
+entry:
+    x.rlx := 1;
+    jmp spin;
+spin:
+    r1 := f.rlx;
+    be r1, out, spin;
+out:
+    return;
+}
+fn t2 {
+entry:
+    r1 := x.rlx;
+    f.rlx := 1;
+    print(r1);
+    return;
+}
+threads t1, t2;
+"""
+
+
+def test_dpor_mover_is_the_thread_that_stepped_not_a_rewritten_bystander():
+    """When thread 1's read kills ``x`` (thread 0 has moved on to spin on
+    ``f``), DPOR also strips ``x`` from thread 0's view; the step is
+    still thread 1's."""
+    from repro.lang.parser import parse_program
+    from repro.semantics.exploration import Explorer
+    from repro.semantics.witness import Witness
+
+    program = parse_program(KILLER)
+    explorer = Explorer(program, SemanticsConfig(por="dpor")).build()
+    kills = [
+        (prev, explorer.states[succ])
+        for prev, out in zip(explorer.states, explorer.edges)
+        for _, succ in out
+        if prev.mem.per_loc("x") and not explorer.states[succ].mem.per_loc("x")
+        and prev.pool[1].local != explorer.states[succ].pool[1].local
+    ]
+    # Thread 0 wrote x, so its view mentions x until the kill strips it.
+    kills = [(prev, state) for prev, state in kills if prev.pool[0] != state.pool[0]]
+    assert kills
+    for prev, state in kills:
+        assert prev.pool[0].local == state.pool[0].local  # a bystander
+        rendered = Witness((prev, state), ((0, None),)).describe().splitlines()
+        assert "cur=t1" in rendered[-1]

@@ -235,3 +235,38 @@ def test_ww_and_rw_scans_share_one_graph():
     ladder = check_races_tiered(program, DPOR)
     assert ladder.ww.race_free == ww.race_free
     assert {(w.tid, w.loc) for w in ladder.rw.witnesses} == {(w.tid, w.loc) for w in rw}
+
+
+@pytest.mark.parametrize("static_tier", [True, False])
+def test_each_graph_is_scanned_once(monkeypatch, static_tier):
+    """``repro races FILE`` without ``--static`` and a validation with the
+    rw census take both race kinds from one ``scan_races`` call per graph."""
+    from repro.jobs import _races
+    from repro.races import wwrf
+
+    scanned = []
+    real = wwrf.scan_races
+
+    def counting(program, explorer):
+        scanned.append(id(explorer))
+        return real(program, explorer)
+
+    monkeypatch.setattr(wwrf, "scan_races", counting)
+    record = _races(racy(), {"np": False, "static": False}, DPOR)
+    assert not record["ok"] and record["explorations"] == 1
+    assert len(scanned) == 1
+
+    scanned.clear()
+    report = validate_optimizer(
+        NaiveDCE(), LITMUS_SUITE["Fig15-src"].program, DPOR,
+        static_tier=static_tier, report_rw=True,
+    )
+    assert report.changed and report.source_rw is not None
+    assert report.target_rw is not None
+    assert scanned and len(scanned) == len(set(scanned))
+    scanned.clear()
+    report = validate_optimizer(
+        identity_optimizer(), racy(), DPOR, static_tier=static_tier, report_rw=True
+    )
+    assert not report.source_wwrf.race_free and not report.source_rw.race_free
+    assert len(scanned) == 1
