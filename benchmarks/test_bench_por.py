@@ -1,6 +1,6 @@
 """E-POR: partial-order reduction — state counts and wall-clock of the
 exhaustive explorer under ``--por=none`` (every interleaving) and
-``--por=dpor`` (source-set dynamic POR, :mod:`repro.semantics.dpor`),
+``--por=dpor`` (persistent-set POR, :mod:`repro.semantics.dpor`),
 with behavior-set equality asserted on every measured program and a
 machine-readable ``BENCH`` json line per suite comparison."""
 

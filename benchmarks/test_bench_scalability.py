@@ -112,8 +112,9 @@ def test_states_por_disjoint_threads(benchmark, threads, width):
     )
     print("BENCH " + json.dumps({"experiment": "por-scalability", **row}))
     # The headline target: DPOR explores >=10x fewer states than the
-    # unreduced explorer on the independent family, and the source-set
-    # core never starts a sleep-blocked (redundant) execution there.
+    # unreduced explorer on the independent family, and starts no
+    # redundant execution there (none by construction since persistent
+    # sets replaced source sets: each state is expanded once).
     assert row["none_states"] >= 10 * row["dpor_states"]
     assert row["redundant_executions"] == 0
 
@@ -138,8 +139,8 @@ def test_states_por_block_width(benchmark, width):
     assert row["dpor_states"] < row["none_states"]
     # Every (Store v_i, Load v_i) pair genuinely conflicts, so the ~2.3x
     # of this family is the *optimal* reduction for its dependence
-    # structure, not sleep-set slack: zero redundant executions, and the
-    # state count must never regress past the source-set core's figure
+    # structure: zero redundant executions, and the state count must
+    # never regress past the source-set core's figure
     # (width=4 explored 138 states when this assertion was added).
     assert row["redundant_executions"] == 0
     if width == 4:
@@ -193,7 +194,7 @@ def test_states_por_promise_disjoint(benchmark, threads, width):
     )
     print("BENCH " + json.dumps({"experiment": "por-scalability", **row}))
     # Acceptance: at least 5x fewer states than the unreduced explorer on
-    # the promise-bearing family, with zero redundant (sleep-blocked)
-    # executions — the optimality measure on disjoint families.
+    # the promise-bearing family, with zero redundant executions (each
+    # state is expanded once).
     assert row["none_states"] >= 5 * row["dpor_states"]
     assert row["redundant_executions"] == 0

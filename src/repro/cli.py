@@ -596,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="parse the structured CSimp surface syntax")
         p.add_argument("--por", default=None, choices=["none", "dpor"],
                        help="partial-order reduction: 'none' (every "
-                            "interleaving) or 'dpor' (source-set DPOR; "
+                            "interleaving) or 'dpor' (persistent-set POR; "
                             "behavior- and race-preserving, interleaving "
                             "machine only).  Default: dpor for explore, "
                             "validate and races; none elsewhere")

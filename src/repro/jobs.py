@@ -35,6 +35,7 @@ CLI's report lines), and ``changed`` / ``definitive`` (validate).
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from typing import Any, Dict, Mapping, Optional
 
 from repro.lang.parser import ParseError, parse_program
@@ -141,15 +142,15 @@ def semantics_config(
 def job_config(kind: str, source: str) -> SemanticsConfig:
     """The configuration a job runs under when its caller picks none.
 
-    A litmus source selects its own (``//! promises: N``).  Validation
-    and race checks run under DPOR, which preserves both the behavior sets
-    refinement compares and the races the scans find
-    (:mod:`repro.semantics.dpor`, "Race scans").
+    Every job runs under DPOR, which preserves both the behavior sets
+    litmus checks and refinement compare and the races the scans find
+    (:mod:`repro.semantics.dpor`, "Race scans").  A litmus source selects
+    the rest (``//! promises: N``).
     """
     if kind == "litmus":
         from repro.litmus.spec import spec_header
 
-        return spec_header(source).config()
+        return replace(spec_header(source).config(), por="dpor")
     return semantics_config(por="dpor")
 
 

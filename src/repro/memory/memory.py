@@ -30,8 +30,6 @@ layer can renormalize the enclosing state before placements run dry.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.memory.message import MemoryItem, Message, Reservation, init_message
@@ -46,8 +44,6 @@ from repro.memory.timestamps import (
 from repro.perf.intern import HASH_MASK, HashConsed, hash_mix, intern_items
 
 _MEM_TAG = hash("Memory") & HASH_MASK
-
-_ITEM_VAR = attrgetter("var")
 
 
 def _var_tight(items: Tuple[MemoryItem, ...]) -> bool:
@@ -215,11 +211,15 @@ class Memory(HashConsed):
         else:
             by_var.pop(var, None)
         # ``items`` is sorted by (var, to, frm), so this location's items
-        # occupy one contiguous segment — splice the new tuple over it
-        # (C-level slicing) instead of regrouping every location.
+        # occupy one contiguous segment, after every group with a smaller
+        # name — splice the new tuple over it (C-level slicing) instead of
+        # regrouping every location.
         items = self.items
-        lo = bisect_left(items, var, key=_ITEM_VAR)
-        hi = bisect_right(items, var, lo=lo, key=_ITEM_VAR)
+        lo = 0
+        for name, group in self._by_var.items():
+            if name < var:
+                lo += len(group)
+        hi = lo + len(self._by_var.get(var, ()))
         # A narrow gap elsewhere stays narrow; only this location's layout
         # changed, so tightness is the old flag joined with a local check.
         # (Renormalization rebuilds via __init__ and recomputes it exactly.)

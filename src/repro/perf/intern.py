@@ -207,14 +207,12 @@ TIMEMAPS = Interner()
 VIEWS = Interner()
 ITEM_TUPLES = Interner()
 POOLS = Interner()
-FOOTPRINTS = Interner()
 
 _ALL = {
     "timemaps": TIMEMAPS,
     "views": VIEWS,
     "item_tuples": ITEM_TUPLES,
     "pools": POOLS,
-    "footprints": FOOTPRINTS,
 }
 
 
@@ -236,17 +234,6 @@ def intern_items(items: tuple) -> tuple:
 def intern_pool(pool: tuple) -> tuple:
     """Canonicalize a thread pool tuple."""
     return POOLS.intern(pool)
-
-
-def intern_footprint(fp: tuple) -> tuple:
-    """Canonicalize a DPOR ``(reads, writes, flags)`` mask footprint.
-
-    The DPOR core stores a footprint per (node, thread) and compares them
-    constantly (sleep-set filtering, race clauses, summary merging);
-    interning makes equal footprints the same object, so those
-    comparisons short-circuit on identity and the per-node dicts share
-    storage."""
-    return FOOTPRINTS.intern(fp)
 
 
 def interner_stats() -> Dict[str, Dict[str, int]]:

@@ -60,10 +60,9 @@ class ExplorationCheckpoint:
     #: How many successor edges that cap discarded (severity of the
     #: truncation; 0 for pre-severity checkpoints).
     dropped_edges: int = 0
-    #: Sleep-set DPOR continuation (``repro.semantics.dpor``): the live
-    #: DFS stack with per-node sleep/backtrack/done sets, the visited-
-    #: sleep memo, subtree summaries, and stats.  ``None`` for plain-BFS
-    #: checkpoints.
+    #: DPOR continuation (``repro.semantics.dpor``): the DFS stack (each
+    #: state index with the successors still to visit), the set of
+    #: visited states, and stats.  ``None`` for plain-BFS checkpoints.
     dpor: Optional[tuple] = None
     #: The ``repro.semantics.version.SEMANTICS_VERSION`` of the code that took
     #: the snapshot (empty for checkpoints written before the field

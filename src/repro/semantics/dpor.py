@@ -1,43 +1,46 @@
-"""Source-set dynamic partial-order reduction for the interleaving machine.
+"""Persistent-set partial-order reduction for the interleaving machine.
 
 The unreduced explorer (:mod:`repro.semantics.exploration`) enumerates
 every interleaving of every thread step.  Most of those interleavings are
 *equivalent*: steps of different threads that touch disjoint locations
 commute, so any two schedules that differ only in the order of commuting
 steps reach the same machine state and produce the same observable trace.
-This module explores one representative per equivalence class using
+This module explores a subset of them with a stateful DFS that expands
+each stored state once, running only a **persistent set** of its threads
+(Godefroid 1996) — a set no thread outside it can interfere with before
+some member moves.  The set is computed from the state alone
+(:func:`persistent_set`):
 
-* **backtrack sets** (Flanagan–Godefroid DPOR): at each schedule node only
-  a growing subset of the enabled threads is explored; whenever a later
-  transition is found to be *dependent* with the transition chosen at an
-  earlier node, a thread reversing that race is added to the earlier
-  node's backtrack set (the *race clause*);
+* start from one live thread, and add every thread whose *future* is
+  dependent with the footprint of a member's next macro-step; a thread's
+  future is the set of locations it may still access
+  (``FootprintIndex.live_locations``) together with its next step's
+  reads and writes, read as a footprint that reads and writes all of them;
+* a member that prints or runs an SC fence makes the set every live
+  thread (future outputs and fences are not tracked), and so does the
+  conservative :data:`FLAG_PRM`;
+* each start thread is tried, and the smallest set wins.
 
-* **source sets + wakeup sequences** (Abdulla–Aronis–Jonsson–Sagonas):
-  the race clause is refined so a backtrack point is only added when no
-  *initial* of the not-happens-after suffix is already scheduled at the
-  racing node — races whose reversal is subsumed by an existing branch
-  are skipped (``source_skips``).  When a point *is* added, the suffix is
-  recorded as a wakeup sequence that seeds and guides the new branch, so
-  the reversal replays the known interleaving instead of re-deriving it
-  (``wakeup_sequences`` / ``wakeup_nodes``); and
-
-* **sleep sets** (Godefroid): a thread already explored at a node is put
-  to sleep for the node's later siblings and stays asleep down the tree
-  until some dependent transition executes, which prunes the redundant
-  second half of each commuting diamond.  A node whose every enabled
-  thread is asleep is a *redundant execution* — the optimality measure
-  (``redundant_executions``, 0 on families the reduction is optimal for).
+**Why it is exact.**  A thread's future over-approximates every later step
+it can take.  Certification runs only code reachable from the thread's
+position, so it stays inside that future too, and a promise whose
+fulfilling store is unreachable fails certification and yields nothing.
+So no sequence of steps of threads outside the set touches what the
+set's next steps read or write: each member's outcomes are the same
+before and after such a sequence, and commute with it.  Together with the
+cycle proviso below, persistent sets keep every deadlock and every order
+of outputs — outputs are mutually dependent, so a set that prints is the
+whole pool — hence the trace set.
 
 **Dependency relation.**  Transitions are per-thread macro-steps — one
 visible step plus the thread's deterministic pure-local suffix, with
 promise opportunities deferred past the suffix (sound because a local
 step changes neither memory nor promise candidates nor certification
 verdicts, so it commutes with every step of every other thread), so
-local chains never cost schedule nodes.  The footprint of a step is ``(reads, writes, flags)``
-with the location sets
-packed into bit masks over the program's locations
-(:class:`FootprintIndex`).  Two footprints are dependent iff
+local chains never cost stored states.  The footprint of a step is
+``(reads, writes, flags)`` with the location sets packed into bit masks
+over the program's locations (:class:`FootprintIndex`).  Two footprints
+are dependent iff
 
 * they write-write or write-read overlap on some location,
 * both are SC fences (they exchange with the global SC view),
@@ -56,11 +59,12 @@ Promise steps additionally *write* the oracle's candidate locations
 (placement and visibility of the new message);
 :class:`~repro.semantics.promises.SyntacticPromises` candidates are
 memory-independent, which keeps every footprint a function of the thread
-state alone — the invariant sleep-set validity rests on.  Unknown oracle
-classes and reservation-enabled configs fall back to universal writes
-(a reserve step may target any location).  ``--por-conservative``
-(:attr:`SemanticsConfig.por_conservative`) restores the old
-"depends on everything" :data:`TOP_FP` treatment as a soundness oracle.
+state alone.  Unknown oracle classes and reservation-enabled configs fall
+back to universal writes (a reserve step may target any location), so
+their sets are the whole pool.  ``--por-conservative``
+(:attr:`SemanticsConfig.por_conservative`) restores the old "depends on
+everything" :data:`TOP_FP` treatment — no reduction at all — as a
+soundness oracle.
 
 **Finished threads.**  The interleaving machine never switches to a done,
 promise-free thread, and a done thread with unfulfilled concrete promises
@@ -110,10 +114,9 @@ writes only ``y``'s messages and the ``y``-components of views,
 certification runs only the thread's own code against the capped memory,
 and outputs print registers — so the normalized state has exactly the
 original's future.  Without it, the same future is explored once per
-last mover, per leftover register value and per dead message history;
-with it every other reduction (sleep-set subsumption, the macro-step
-memo) prunes more.  ``none`` and the non-preemptive machine keep all of
-it: they are the reference.
+last mover, per leftover register value and per dead message history.
+``none`` and the non-preemptive machine keep all of it: they are the
+reference.
 
 **Race scans.**  The ww-RF and rw race predicates (paper Fig. 11,
 :mod:`repro.races.wwrf`) read the reduced graph directly, asking of each
@@ -125,29 +128,24 @@ thread.  Three facts make that exact:
 * a macro-step ends where the thread's next operation stops being
   pure-local, so every non-atomic store or load is the head of a stored
   state;
-* two racing same-location accesses (at least one a write) are
-  dependent under the footprint relation, so both orders are explored.
+* two same-location accesses, at least one a write, always land in one
+  persistent set (each is in the other's future), so both orders are
+  stored.
 
 The differential against ``por="none"`` scans is
 ``tests/semantics/test_por.py``.
 
-**Cycle proviso.**  A schedule hitting a state currently on the DFS stack
-(a back edge) marks that ancestor *fully expanded* (backtrack = all
-enabled, sleep cleared), so no transition can be ignored forever around a
-cycle (the standard ignoring-problem fix).
-
-**Stateful memoization.**  Re-reaching an already-explored state with a
-sleep set that is a superset of a recorded visit is subsumed by that
-visit and skipped; the skipped subtree's transition summary (which
-threads executed which footprints below) is replayed against the current
-stack so no race-clause backtrack point is lost.  Wakeup-sequence-guided
-branches integrate for free: a guided replay that reaches a memoized
-state skips with the same summary replay.
+**Cycle proviso.**  A reduced expansion that reaches a state on the DFS
+stack (a back edge, or a self-loop) is widened to every live thread, so
+no thread is ignored forever around a cycle (the stack proviso).  So is
+a reduced expansion with no successor: a macro-step can have zero
+outcomes (every certification fails) while another thread can still
+move.  ``full_expansions`` counts both.
 
 **Macro-step memo.**  A thread step and its certification read only the
 thread's own state and the shared memory (the machine step, Fig. 9), so
 the outcomes of a macro-step are a pure function of ``(pool[tid], mem)``.
-The same pair recurs under many schedule nodes (every interleaving of
+The same pair recurs under many stored states (every interleaving of
 independent steps of *other* threads leaves it unchanged), so each
 build computes it once (``macro_outcomes``) and replays it on later
 transitions (``memo_hits``); only the successor machine states are
@@ -170,8 +168,8 @@ plus the ``--por-conservative`` differential
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.lang.syntax import (
     Be,
@@ -192,7 +190,6 @@ from repro.lang.syntax import (
 from repro.memory.memory import Memory
 from repro.memory.message import Message
 from repro.memory.timemap import View
-from repro.perf.intern import intern_footprint
 from repro.robust.budget import BudgetExhausted
 from repro.semantics.certification import certification_locations, consistent
 from repro.semantics.events import OutputEvent
@@ -225,6 +222,10 @@ EMPTY_FP: Footprint = (0, 0, 0)
 #: The universal footprint — dependent on everything (conservative mode).
 TOP_FP: Footprint = (0, 0, FLAG_PRM)
 
+#: Flags whose future occurrences are not tracked: a persistent set with
+#: such a member is the whole pool.
+_UNTRACKED = FLAG_OUT | FLAG_SC
+
 
 def dependent(a: Footprint, b: Footprint) -> bool:
     """Whether two transition footprints may fail to commute."""
@@ -247,9 +248,8 @@ class FootprintIndex:
 
     ``thread_footprint`` must over-approximate the footprint of *every*
     step the thread could take next, and must be a function of the thread
-    state alone (never of the shared memory): a sleeping thread's
-    footprint has to stay valid while independent transitions execute
-    underneath it.
+    state alone (never of the shared memory): a persistent set is
+    computed from the state before any of its members runs.
     """
 
     __slots__ = (
@@ -411,7 +411,7 @@ class FootprintIndex:
                 reads |= self.universe if b is None else b
             if self.stats is not None:
                 self.stats.promise_footprints += 1
-        return intern_footprint((reads, writes, flags))
+        return (reads, writes, flags)
 
     # -- liveness (state identity) ---------------------------------------------
 
@@ -639,26 +639,15 @@ def _strip_item(item, names):
 class DporStats:
     """Counters describing one DPOR exploration (``explore --stats``)."""
 
-    #: Schedule nodes pushed on the DFS stack.
+    #: States expanded (each stored state is expanded at most once).
     nodes: int = 0
-    #: Macro-transitions executed (per chosen thread, all successors).
+    #: Macro-steps executed (one per expanded thread of an expanded state).
     transitions: int = 0
-    #: Subtrees skipped because a recorded visit subsumed the sleep set.
-    sleep_skips: int = 0
-    #: Nodes where every enabled thread was asleep (pruned redundant runs).
-    sleep_blocked: int = 0
-    #: Threads added to an ancestor's backtrack set by the race clause.
-    backtrack_points: int = 0
-    #: Nodes forced to full expansion by the cycle proviso.
+    #: Reduced expansions widened to every live thread: by the cycle
+    #: proviso, or because the persistent set had no successor.
     full_expansions: int = 0
     #: Footprints widened to a certification window (promise-bearing).
     promise_footprints: int = 0
-    #: Races skipped because an initial was already scheduled (source sets).
-    source_skips: int = 0
-    #: Wakeup sequences recorded to guide race-reversing branches.
-    wakeup_sequences: int = 0
-    #: Total nodes across all recorded wakeup sequences (tree size).
-    wakeup_nodes: int = 0
     #: Transitions whose outcomes came from the macro-step memo (the
     #: ``(thread state, memory)`` pair, or the thread state with the same
     #: live memory slice and SC view, had already been executed).
@@ -666,194 +655,57 @@ class DporStats:
 
     @property
     def redundant_executions(self) -> int:
-        """Sleep-blocked explorations — executions an optimal reduction
-        would not have started; 0 on families the reduction is optimal
-        for (asserted by the disjoint benchmark families)."""
-        return self.sleep_blocked
+        """Always 0: persistent sets are computed from the state alone and
+        each stored state is expanded once, so no exploration is started
+        and then found redundant (sleep-set DPOR counted such blocked
+        executions here)."""
+        return 0
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict rendering for JSON output."""
         return {
             "nodes": self.nodes,
             "transitions": self.transitions,
-            "sleep_skips": self.sleep_skips,
-            "sleep_blocked": self.sleep_blocked,
-            "backtrack_points": self.backtrack_points,
             "full_expansions": self.full_expansions,
             "promise_footprints": self.promise_footprints,
-            "source_skips": self.source_skips,
-            "wakeup_sequences": self.wakeup_sequences,
-            "wakeup_nodes": self.wakeup_nodes,
             "memo_hits": self.memo_hits,
             "redundant_executions": self.redundant_executions,
         }
 
 
-@dataclass
-class _Node:
-    """One schedule node on the DPOR DFS stack.
+def persistent_set(
+    fps: Sequence[Footprint], futures: Sequence[Footprint]
+) -> Tuple[int, ...]:
+    """The smallest persistent set (positions into ``fps``) this state
+    admits among those grown from one thread.
 
-    ``backtrack``/``done`` realize the Flanagan–Godefroid sets; ``sleep``
-    is the entry sleep set; ``summary`` accumulates ``{tid: footprint}``
-    for every transition executed in the subtree below (merged upward on
-    pop, replayed for the race clause when a memoized subtree is skipped).
-    ``scripts`` maps a backtracked thread to the wakeup sequence that
-    should follow it; ``hint`` is the remaining wakeup sequence this node
-    was entered under, and ``child_hint`` the portion forwarded to the
-    successors of the currently chosen transition.
+    ``fps[i]`` is the footprint of thread ``i``'s next macro-step and
+    ``futures[i]`` its future as a footprint that reads and writes every
+    location the thread may still access.  From each start thread, every
+    thread whose future is dependent with a member's footprint joins; a
+    member that prints or runs an SC fence makes the set everything (a
+    thread's future outputs and fences are not tracked), and so does a
+    conservative :data:`FLAG_PRM` footprint, which is dependent with every
+    future.  Ties go to the lowest start.
     """
-
-    idx: int
-    enabled: Tuple[int, ...]
-    fp: Dict[int, Footprint]
-    sleep: FrozenSet[int]
-    backtrack: Set[int] = field(default_factory=set)
-    done: Set[int] = field(default_factory=set)
-    summary: Dict[int, Footprint] = field(default_factory=dict)
-    full: bool = False
-    chosen: Optional[int] = None
-    queue: List[int] = field(default_factory=list)
-    child_sleep: FrozenSet[int] = frozenset()
-    scripts: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
-    hint: Tuple[int, ...] = ()
-    child_hint: Tuple[int, ...] = ()
-
-
-def _merge_fp(summary: Dict[int, Footprint], tid: int, fp: Footprint) -> None:
-    old = summary.get(tid)
-    if old is None:
-        summary[tid] = fp
-    elif old != fp:
-        summary[tid] = (old[0] | fp[0], old[1] | fp[1], old[2] | fp[2])
-
-
-def _merge_summary(into: Dict[int, Footprint], new: Dict[int, Footprint]) -> None:
-    for tid, fp in new.items():
-        _merge_fp(into, tid, fp)
-
-
-def _race_clause(stack: List[_Node], tid: int, fp: Footprint, stats: DporStats) -> None:
-    """Add backtrack points for a (future) transition of ``tid`` with
-    footprint ``fp`` against every stack ancestor whose chosen transition
-    is dependent with it.
-
-    This is the conservative all-ancestors variant of the Flanagan–
-    Godefroid race clause, kept for summary replay (where the precise
-    event order inside the skipped subtree is no longer known, so the
-    source-set suffix analysis does not apply): over-approximating the
-    set of racing ancestors only adds exploration, never loses a
-    schedule.
-    """
-    for node in stack:
-        chosen = node.chosen
-        if chosen is None or chosen == tid:
-            continue
-        if not dependent(node.fp[chosen], fp):
-            continue
-        if tid in node.fp:
-            if tid not in node.backtrack:
-                node.backtrack.add(tid)
-                stats.backtrack_points += 1
-        else:
-            for other in node.enabled:
-                if other not in node.backtrack:
-                    node.backtrack.add(other)
-                    stats.backtrack_points += 1
-
-
-class _SourceClause:
-    """Source-set race analysis for one node push.
-
-    For a race between ancestor ``e`` (the chosen transition at stack
-    position ``pos``) and a next transition of ``tid``, the reversal only
-    needs exploring if no *initial* of ``v`` — the subsequence of events
-    after ``e`` not happens-after it, followed by ``tid``'s event — is
-    already in the ancestor's backtrack set (Abdulla et al., *Optimal
-    DPOR*, POPL'14).  The per-ancestor suffix analysis depends only on
-    ``pos``, so it is computed lazily and shared across all enabled
-    threads of the push.
-    """
-
-    __slots__ = ("stack", "stats", "_segments")
-
-    def __init__(self, stack: List[_Node], stats: DporStats) -> None:
-        self.stack = stack
-        self.stats = stats
-        self._segments: Dict[int, List[Tuple[int, Footprint]]] = {}
-
-    def _segment(self, pos: int) -> List[Tuple[int, Footprint]]:
-        """The chosen events after position ``pos`` that are *not*
-        happens-after the event chosen at ``pos``, in execution order."""
-        seg = self._segments.get(pos)
-        if seg is None:
-            node = self.stack[pos]
-            e_thr = node.chosen
-            e_fp = node.fp[e_thr]
-            after: List[Tuple[int, Footprint]] = []
-            seg = []
-            for anc in self.stack[pos + 1:]:
-                thr = anc.chosen
-                f = anc.fp[thr]
-                if (
-                    thr == e_thr
-                    or dependent(e_fp, f)
-                    or any(
-                        thr == g_thr or dependent(g_fp, f) for g_thr, g_fp in after
-                    )
-                ):
-                    after.append((thr, f))
-                else:
-                    seg.append((thr, f))
-            self._segments[pos] = seg
-        return seg
-
-    def apply(self, node: _Node, pos: int, tid: int, fp: Footprint) -> None:
-        """Handle the race between ``node.chosen`` (at ``pos``) and the
-        next ``tid`` transition with footprint ``fp``."""
-        stats = self.stats
-        notdep = self._segment(pos)
-        # Initials of v = notdep · (tid, fp): threads whose first event in
-        # v has no same-thread or dependent predecessor within v — those
-        # could equally be scheduled first at the racing node.
-        initials: List[int] = []
-        seen: Set[int] = set()
-        for j, (thr, efp) in enumerate(notdep):
-            if thr in seen:
-                continue
-            seen.add(thr)
-            if all(not dependent(g_fp, efp) for _, g_fp in notdep[:j]):
-                initials.append(thr)
-        if any(q in node.backtrack for q in initials):
-            stats.source_skips += 1
-            return
-        tid_initial = tid not in seen and all(
-            not dependent(g_fp, fp) for _, g_fp in notdep
-        )
-        if tid_initial and tid in node.fp:
-            q = tid
-        else:
-            q = next((t for t in initials if t in node.fp), None)
-        if q is None:
-            # No initial is enabled at the racing node: conservative
-            # Flanagan–Godefroid fallback (add every enabled thread).
-            for other in node.enabled:
-                if other not in node.backtrack:
-                    node.backtrack.add(other)
-                    stats.backtrack_points += 1
-            return
-        node.backtrack.add(q)
-        stats.backtrack_points += 1
-        # Record v (with q moved to the front) as the wakeup sequence
-        # guiding the new branch: q seeds the node, the rest is the hint
-        # forwarded down the chain.
-        seq = [thr for thr, _ in notdep]
-        seq.append(tid)
-        k = seq.index(q)
-        script = tuple(seq[:k] + seq[k + 1:])
-        if script and q not in node.scripts:
-            node.scripts[q] = script
-            stats.wakeup_sequences += 1
-            stats.wakeup_nodes += len(script) + 1
+    best = tuple(range(len(fps)))
+    for start in range(len(fps)):
+        members = [start]
+        merged = fps[start]
+        grew = True
+        while grew and not merged[2] & _UNTRACKED and len(members) < len(best):
+            grew = False
+            for other, future in enumerate(futures):
+                if other not in members and dependent(merged, future):
+                    members.append(other)
+                    reads, writes, flags = fps[other]
+                    merged = (merged[0] | reads, merged[1] | writes, merged[2] | flags)
+                    grew = True
+        if len(members) < len(best) and not merged[2] & _UNTRACKED:
+            best = tuple(sorted(members))
+            if len(best) == 1:
+                break
+    return best
 
 
 def _retire(ts: ThreadState) -> ThreadState:
@@ -927,13 +779,14 @@ def dpor_build(
     checkpoint_path: Optional[str] = None,
     checkpoint_interval: int = 100_000,
 ) -> None:
-    """Explore ``explorer.program`` with source-set DPOR, filling the
+    """Explore ``explorer.program`` with persistent sets, filling the
     explorer's ``states``/``edges``/``terminal`` arrays in place.
 
-    Budget-aware exactly like the BFS: ``meter`` is ticked between atomic
-    operations and a trip stops the search in a consistent, resumable
-    shape (the live DFS stack, memo tables and stats are kept on the
-    explorer as ``_dpor_state`` for :meth:`Explorer.snapshot`).
+    A stateful DFS expands each stored state once.  Budget-aware exactly
+    like the BFS: ``meter`` is ticked between expansions and a trip stops
+    the search in a consistent, resumable shape (the DFS stack, the set of
+    visited states and the stats are kept on the explorer as
+    ``_dpor_state`` for :meth:`Explorer.snapshot`).
     """
     program: Program = explorer.program
     config: SemanticsConfig = explorer.config
@@ -941,24 +794,24 @@ def dpor_build(
 
     resume = explorer._dpor_resume
     if resume is not None:
-        stack, visited, summaries, stats = resume
+        saved_stack, saved_visited, stats = resume
         explorer._dpor_resume = None
+        # Copies: the checkpoint object may be resumed again.
+        stack = [[idx, None if todo is None else list(todo)] for idx, todo in saved_stack]
+        visited = set(saved_visited)
+        stats = replace(stats)
     else:
-        stack = []
-        #: idx -> entry sleep sets of completed explorations of that state.
-        visited: Dict[int, List[FrozenSet[int]]] = {}
-        #: idx -> merged subtree summary over those explorations.
-        summaries: Dict[int, Dict[int, Footprint]] = {}
+        #: ``[state index, successors still to visit]``; ``None`` until
+        #: the state is expanded.
+        stack: List[list] = [[0, None]]
+        #: Every state ever pushed: each is expanded once, on top of the
+        #: stack, before anything else happens.
+        visited: Set[int] = {0}
         stats = DporStats()
     index.stats = stats
     explorer.dpor_stats = stats
-    explorer._dpor_state = (stack, visited, summaries, stats)
-    on_stack: Dict[int, _Node] = {node.idx: node for node in stack}
-    edge_seen: Set[Tuple[int, Optional[int], int]] = {
-        (idx, label, succ)
-        for idx, out in enumerate(explorer.edges)
-        for label, succ in out
-    }
+    explorer._dpor_state = (stack, visited, stats)
+    on_stack: Set[int] = {idx for idx, _ in stack}
 
     def intern(state) -> Optional[int]:
         idx = explorer._index.get(state)
@@ -976,53 +829,6 @@ def dpor_build(
         explorer.terminal.append(state.all_done)
         return idx
 
-    def push(idx: int, sleep: FrozenSet[int], hint: Tuple[int, ...] = ()) -> None:
-        state = explorer.states[idx]
-        stats.nodes += 1
-        enabled: List[int] = []
-        fps: Dict[int, Footprint] = {}
-        for tid, ts in enumerate(state.pool):
-            fp = index.thread_footprint(ts)
-            if fp is None:
-                continue
-            enabled.append(tid)
-            fps[tid] = fp
-        node = _Node(idx=idx, enabled=tuple(enabled), fp=fps, sleep=sleep)
-        source = _SourceClause(stack, stats)
-        for tid in enabled:
-            fp = fps[tid]
-            for pos, anc in enumerate(stack):
-                chosen = anc.chosen
-                if chosen is None or chosen == tid:
-                    continue
-                if not dependent(anc.fp[chosen], fp):
-                    continue
-                if tid in anc.backtrack:
-                    continue  # classic FG: the racing thread is scheduled
-                source.apply(anc, pos, tid, fp)
-        if enabled:
-            awake = [tid for tid in enabled if tid not in sleep]
-            if not awake:
-                stats.sleep_blocked += 1
-            elif hint and hint[0] in fps and hint[0] not in sleep:
-                # Wakeup-guided: the hinted thread is the sole seed, so
-                # the race-reversing branch replays the recorded suffix
-                # instead of wandering off it.
-                node.hint = hint
-                node.backtrack.add(hint[0])
-            else:
-                # Seed the backtrack set with one awake thread, preferring
-                # one whose next step is pure-local (empty footprint):
-                # nothing is ever dependent with it, so the race clause
-                # can never force a sibling and the node stays a singleton
-                # — eager local steps fall out of DPOR as a special case.
-                seed = next(
-                    (tid for tid in awake if fps[tid] == EMPTY_FP), awake[0]
-                )
-                node.backtrack.add(seed)
-        stack.append(node)
-        on_stack[idx] = node
-
     def local_suffix(ts: ThreadState, mem):
         """Extend a just-executed step through the thread's deterministic
         pure-local continuation, promises deferred.
@@ -1031,7 +837,7 @@ def dpor_build(
         leaves memory, promise candidates, and certification verdicts
         unchanged, so folding the silent suffix into the macro-step neither loses
         behaviors nor invalidates the recorded footprint — it only stops
-        local chains from costing one schedule node (and one promise
+        local chains from costing one stored state (and one promise
         branching point) per step."""
         while not ts.local.done and isinstance(
             next_op(program, ts.local), _PURE_LOCAL
@@ -1143,10 +949,13 @@ def dpor_build(
             slice_memo[key] = recorded
         return outcomes
 
-    def execute(node: _Node, tid: int) -> List[int]:
-        state = explorer.states[node.idx]
+    def execute(idx: int, tid: int, edges: Set[Tuple[Optional[int], int]]) -> List[int]:
+        """Run ``tid``'s macro-step from state ``idx``: intern the
+        successors, record the edges not in ``edges`` yet, and return the
+        successor indices."""
+        stats.transitions += 1
+        state = explorer.states[idx]
         succs: List[int] = []
-        seen: Set[int] = set()
         pool = state.pool
         head = pool[tid]
         head_live = index.live_locations(head) if index.drops_locations else 0
@@ -1174,23 +983,53 @@ def dpor_build(
             succ_idx = intern(new_state)
             if succ_idx is None:
                 continue
-            key = (node.idx, label, succ_idx)
-            if key not in edge_seen:
-                edge_seen.add(key)
-                explorer.edges[node.idx].append((label, succ_idx))
-            if succ_idx not in seen:
-                seen.add(succ_idx)
+            edge = (label, succ_idx)
+            if edge not in edges:
+                edges.add(edge)
+                explorer.edges[idx].append(edge)
                 succs.append(succ_idx)
         return succs
 
-    if not stack:
+    def expand(idx: int) -> List[int]:
+        """Expand state ``idx`` (it is on the stack): run a persistent set
+        of its live threads, or all of them when the reduced expansion
+        closes a cycle through the stack or has no successor."""
+        stats.nodes += 1
+        pool = explorer.states[idx].pool
+        live: List[int] = []
+        fps: List[Footprint] = []
+        for tid, ts in enumerate(pool):
+            fp = index.thread_footprint(ts)
+            if fp is not None:
+                live.append(tid)
+                fps.append(fp)
+        chosen = range(len(live))
+        if len(live) > 1:
+            futures = []
+            for tid, (reads, writes, _flags) in zip(live, fps):
+                future = index.live_locations(pool[tid]) | reads | writes
+                futures.append((future, future, 0))
+            chosen = persistent_set(fps, futures)
+        edges: Set[Tuple[Optional[int], int]] = set()
+        succs: List[int] = []
+        for pos in chosen:
+            succs += execute(idx, live[pos], edges)
+        if len(chosen) < len(live) and (
+            not succs or any(succ in on_stack for succ in succs)
+        ):
+            stats.full_expansions += 1
+            for pos in range(len(live)):
+                if pos not in chosen:
+                    succs += execute(idx, live[pos], edges)
+        return succs
+
+    if resume is None:
         initial = explorer.states[0]
         normal = index.initial_state(initial)
         if normal is not initial:
             del explorer._index[initial]
             explorer._index[normal] = 0
             explorer.states[0] = normal
-        push(0, frozenset())
 
     next_checkpoint = len(explorer.states) + checkpoint_interval
     while stack:
@@ -1210,69 +1049,20 @@ def dpor_build(
             save_checkpoint(explorer.snapshot(), checkpoint_path)
             next_checkpoint = len(explorer.states) + checkpoint_interval
 
-        node = stack[-1]
-        if node.queue:
-            succ = node.queue.pop()
-            target = on_stack.get(succ)
-            if target is not None:
-                # Back edge: cycle proviso — fully expand the cycle target
-                # so no transition is ignored around the loop.
-                if not target.full:
-                    target.full = True
-                    target.sleep = frozenset()
-                    target.backtrack = set(target.enabled)
-                    stats.full_expansions += 1
-                continue
-            records = visited.get(succ)
-            if records is not None and any(s <= node.child_sleep for s in records):
-                # A previous exploration with a smaller sleep set subsumes
-                # this visit; replay its transition summary for the race
-                # clause and skip the subtree.
-                stats.sleep_skips += 1
-                summ = summaries.get(succ, {})
-                for tid, fp in summ.items():
-                    _race_clause(stack, tid, fp, stats)
-                _merge_summary(node.summary, summ)
-                continue
-            push(succ, node.child_sleep, node.child_hint)
-            continue
-
-        if node.chosen is not None:
-            node.done.add(node.chosen)
-            _merge_fp(node.summary, node.chosen, node.fp[node.chosen])
-            node.chosen = None
-
-        nxt = None
-        for tid in sorted(node.backtrack):
-            if tid not in node.done and tid not in node.sleep:
-                nxt = tid
-                break
-        if nxt is None:
+        frame = stack[-1]
+        idx, todo = frame
+        if todo is None:
+            # Successors are visited last first; reversing keeps the DFS
+            # in outcome order.
+            frame[1] = expand(idx)[::-1]
+        elif not todo:
             stack.pop()
-            del on_stack[node.idx]
-            visited.setdefault(node.idx, []).append(node.sleep)
-            _merge_summary(summaries.setdefault(node.idx, {}), node.summary)
-            if stack:
-                _merge_summary(stack[-1].summary, node.summary)
-            continue
-
-        node.chosen = nxt
-        stats.transitions += 1
-        node.queue = execute(node, nxt)
-        script = node.scripts.get(nxt)
-        if script:
-            node.child_hint = script
-        elif node.hint and node.hint[0] == nxt:
-            node.child_hint = node.hint[1:]
+            on_stack.discard(idx)
         else:
-            node.child_hint = ()
-        chosen_fp = node.fp[nxt]
-        node.child_sleep = frozenset(
-            tid
-            for tid in (node.sleep | node.done)
-            if tid != nxt
-            and tid in node.fp
-            and not dependent(node.fp[tid], chosen_fp)
-        )
+            succ = todo.pop()
+            if succ not in visited:
+                visited.add(succ)
+                on_stack.add(succ)
+                stack.append([succ, None])
 
     explorer._dpor_state = None

@@ -86,7 +86,7 @@ class SemanticsConfig:
     skip certification searches it refutes (sound — identical results,
     fewer searches; only relevant when promises are enabled);
     ``por`` selects the partial-order reduction the explorer applies:
-    ``"none"`` (every interleaving) or ``"dpor"`` (source-set dynamic
+    ``"none"`` (every interleaving) or ``"dpor"`` (persistent-set
     POR over the message-dependency relation, see
     :mod:`repro.semantics.dpor`).  The default is ``"none"``, the
     reference oracle every reduction is checked against; the race scans
@@ -106,7 +106,7 @@ class SemanticsConfig:
     certify_against_cap: bool = True
     por: str = "none"
     #: Under ``por="dpor"``, treat every transition as dependent on every
-    #: other (the pre-source-set promise treatment) — prunes nothing, but
+    #: other (the original promise treatment) — prunes nothing, but
     #: serves as the soundness oracle for the precise footprint relation
     #: (``--por-conservative``).
     por_conservative: bool = False
@@ -428,15 +428,18 @@ def _promise_steps(
 def _reserve_steps(
     program: Program, ts: ThreadState, mem: Memory, config: SemanticsConfig
 ) -> Iterator[StepResult]:
-    """Reserve the interval right after any message the thread could extend.
+    """Reserve the free slot right after a location's latest message.
 
     Reservation placement is, like writes, canonicalized: reserving the slot
-    adjacent to an existing message is the only use reservations have
-    (protecting a CAS-adjacent interval)."""
+    adjacent to the latest message is the only use reservations have
+    (protecting a CAS-adjacent interval).  Only concrete messages count,
+    so a reservation is never stacked on a reservation: once the slot is
+    taken, the location offers no further reserve step until a write
+    lands past it."""
     if ts.local.done:
         return
     for loc in mem.locations():
-        last = mem.latest_ts(loc)
+        last = mem.concrete(loc)[-1].to
         reservation = Reservation(loc, last, successor(last))
         new_mem = mem.try_add(reservation)
         if new_mem is None:

@@ -35,7 +35,12 @@ from typing import Any
 #: locations no live thread can access are dropped, and macro-steps are
 #: memoized per live memory slice — so DPOR graphs differ again while
 #: behavior *sets* do not; ``-4`` entries must miss.
-SEMANTICS_VERSION = "ps21-repro-5"
+#: ``-6``: DPOR expands persistent sets over each state's live future
+#: instead of source sets, so DPOR graphs and the checkpoint payload
+#: differ; a reserve step no longer stacks on a reservation; and litmus
+#: jobs run under DPOR, so their verdict keys change; ``-5`` entries
+#: must miss.
+SEMANTICS_VERSION = "ps21-repro-6"
 
 
 def config_digest(config: Any) -> str:

@@ -244,13 +244,13 @@ class TestBehaviorDigest:
 
 
 class TestSemanticsVersionBump:
-    """DPOR keying states by their live future (dead registers and
-    locations dropped) bumped :data:`SEMANTICS_VERSION` to
-    ``ps21-repro-5``: entries from earlier eras must be silent misses —
-    never served, never mistaken for corruption."""
+    """DPOR expanding persistent sets over each state's live future
+    bumped :data:`SEMANTICS_VERSION` to ``ps21-repro-6``: entries from
+    earlier eras must be silent misses — never served, never mistaken for
+    corruption."""
 
     def test_version_reflects_the_rework(self):
-        assert version.SEMANTICS_VERSION == "ps21-repro-5"
+        assert version.SEMANTICS_VERSION == "ps21-repro-6"
 
     def test_old_version_entries_are_misses_not_corruption(self, tmp_path, monkeypatch):
         source = SPEC.format(value=1)

@@ -1,5 +1,5 @@
-"""Sleep-set DPOR (:mod:`repro.semantics.dpor`): behavior preservation
-against the unreduced explorer is the whole point.
+"""Persistent-set DPOR (:mod:`repro.semantics.dpor`): behavior
+preservation against the unreduced explorer is the whole point.
 
 Equality is asserted on ``.traces`` (the observable behavior set) — state
 counts are *expected* to differ; that reduction is what DPOR is for.
@@ -25,6 +25,7 @@ from repro.semantics.dpor import (
     FLAG_SC,
     TOP_FP,
     dependent,
+    persistent_set,
 )
 from repro.semantics.exploration import Explorer, behaviors
 from repro.semantics.promises import SyntacticPromises
@@ -67,6 +68,35 @@ class TestDependency:
         assert dependent(TOP_FP, EMPTY_FP)  # FLAG_PRM beats everything
         assert TOP_FP[2] & FLAG_PRM
         assert not dependent(EMPTY_FP, EMPTY_FP)
+
+
+class TestPersistentSetClosure:
+    X, Y = 1, 2
+
+    def future(self, mask):
+        return (mask, mask, 0)
+
+    def test_disjoint_futures_give_a_singleton(self):
+        fps = [(self.X, 0, 0), (0, self.Y, 0)]
+        assert persistent_set(fps, [self.future(self.X), self.future(self.Y)]) == (0,)
+
+    def test_a_future_meeting_a_member_joins(self):
+        X, Y = self.X, self.Y
+        fps = [(0, X, 0), (X, 0, 0)]
+        assert persistent_set(fps, [self.future(X)] * 2) == (0, 1)
+        # From 0 the set grows through 1 (x) to 2 (y); from 1 or 2 it
+        # stays {1, 2}, which is smaller.
+        fps = [(0, X, 0), (Y, 0, 0), (Y, 0, 0)]
+        futures = [self.future(X), self.future(X | Y), self.future(Y)]
+        assert persistent_set(fps, futures) == (1, 2)
+
+    def test_printing_members_take_the_whole_pool(self):
+        fps = [(0, 0, FLAG_OUT), (self.Y, 0, 0)]
+        futures = [self.future(0), self.future(self.Y)]
+        assert persistent_set(fps, futures) == (1,)
+        assert persistent_set(fps[:1] * 2, futures[:1] * 2) == (0, 1)
+        assert persistent_set([TOP_FP, EMPTY_FP], [self.future(0)] * 2) == (1,)
+        assert persistent_set([TOP_FP] * 2, [self.future(0)] * 2) == (0, 1)
 
 
 def _mentioned_locations(state) -> set:
@@ -216,9 +246,9 @@ class TestPropertyEquality:
 
 class TestCycleProviso:
     def test_infinite_print_loop(self):
-        """A looping thread exercises the back-edge rule: without the
-        cycle proviso the one-shot printer could be ignored forever and
-        its output lost from the behavior set."""
+        """A looping printer next to a one-shot printer: outputs are
+        mutually dependent, so every state runs both threads and the
+        one-shot printer's output lands at every point of the loop."""
         pb = ProgramBuilder()
         block = pb.function("spin").block("loop")
         block.print_(Const(1))
@@ -229,8 +259,48 @@ class TestCycleProviso:
         plain = behaviors(program, SemanticsConfig(por="none", max_outputs=4))
         reduced = behaviors(program, SemanticsConfig(por="dpor", max_outputs=4))
         assert plain.traces == reduced.traces
+
+    def test_silent_spin_loop_is_fully_expanded(self):
+        """A thread spinning on a load is a persistent set on its own (the
+        printer's future touches no location), and its step loops back to
+        the state on the stack: without the cycle proviso the printer
+        would be ignored forever and its output lost."""
+        pb = ProgramBuilder(atomics=("y",))
+        pb.function("spin").block("loop").load("r1", "y", "rlx").jmp("loop")
+        pb.function("shot").block("entry").print_(Const(2))
+        pb.thread("spin").thread("shot")
+        program = pb.build()
+        plain = behaviors(program, SemanticsConfig(por="none", max_outputs=4))
         explorer = Explorer(program, SemanticsConfig(por="dpor", max_outputs=4))
-        explorer.build()
+        assert explorer.behaviors().traces == plain.traces
+        assert (2,) in plain.traces
+        assert explorer.dpor_stats.full_expansions > 0
+
+    def test_empty_persistent_set_falls_back_to_every_thread(self, monkeypatch):
+        """A macro-step can have no outcome (every certification fails).
+        Here the stuck thread's store never certifies, so it is the
+        smallest persistent set and yields nothing; the printer must still
+        run.  Both engines see the same stuck thread."""
+        from repro.semantics import machine
+
+        real = dpor.consistent
+
+        def refusing(program, ts, mem, *args, **kwargs):
+            if ts.local.func == "stuck" and ts.local.offset > 0:
+                return False
+            return real(program, ts, mem, *args, **kwargs)
+
+        monkeypatch.setattr(dpor, "consistent", refusing)
+        monkeypatch.setattr(machine, "consistent", refusing)
+        pb = ProgramBuilder(atomics=("x",))
+        pb.function("stuck").block("entry").store("x", Const(1), "rlx")
+        pb.function("shot").block("entry").print_(Const(2))
+        pb.thread("stuck").thread("shot")
+        program = pb.build()
+        plain = behaviors(program)
+        explorer = Explorer(program, DPOR)
+        assert explorer.behaviors().traces == plain.traces
+        assert (2,) in plain.traces
         assert explorer.dpor_stats.full_expansions > 0
 
 
@@ -240,23 +310,18 @@ class TestStatsAndGating:
         result = explorer.behaviors()
         stats = explorer.dpor_stats
         assert stats is not None
-        # A state reached by several schedules can be pushed again under a
-        # sleep set no earlier visit subsumes, so nodes may exceed states;
-        # keying states by their future keeps SB below its 38 keyed by
-        # (pool, cur, memory).
-        assert result.state_count <= stats.nodes
+        # Each stored state is expanded once; keying states by their
+        # future keeps SB below its 38 keyed by (pool, cur, memory).
+        assert result.state_count == stats.nodes
         assert result.state_count < 38
-        assert stats.sleep_skips + stats.sleep_blocked > 0
-        assert stats.backtrack_points > 0
+        assert stats.transitions >= stats.nodes - 1
         assert result.state_count < behaviors(sb()).state_count
         assert explorer.por_downgrade is None
         assert set(stats.as_dict()) == {
-            "nodes", "transitions", "sleep_skips", "sleep_blocked",
-            "backtrack_points", "full_expansions", "promise_footprints",
-            "source_skips", "wakeup_sequences", "wakeup_nodes",
+            "nodes", "transitions", "full_expansions", "promise_footprints",
             "memo_hits", "redundant_executions",
         }
-        assert stats.as_dict()["redundant_executions"] == stats.sleep_blocked
+        assert stats.redundant_executions == 0
 
     def test_promise_config_runs_dpor_with_window_footprints(self):
         """Promise configs no longer downgrade: the certification-scoped
@@ -352,6 +417,71 @@ class TestStateIdentity:
         _assert_keyed_by_future(explorer)
         assert any(ts.local.done for s in explorer.states for ts in s.pool)
         assert reduced.traces == behaviors(program, config).traces
+
+
+class TestPersistentSets:
+    """Every reduced expansion runs a set no other thread can interfere
+    with: the chosen threads' footprints miss the futures of the threads
+    left out, computed by ``_future``'s path walk rather than the
+    engine's liveness tables."""
+
+    def _check(self, program, config, monkeypatch) -> int:
+        chosen_at = {}
+
+        def recording(fps, futures):
+            chosen = persistent_set(fps, futures)
+            caller = sys._getframe(1).f_locals
+            chosen_at[caller["idx"]] = (
+                [caller["live"][pos] for pos in chosen], list(caller["live"])
+            )
+            return chosen
+
+        monkeypatch.setattr(dpor, "persistent_set", recording)
+        explorer = Explorer(program, config)
+        explorer.build()
+        index = dpor.FootprintIndex(program, config)
+        reduced = 0
+        for idx, (chosen, live) in chosen_at.items():
+            if len(chosen) == len(live):
+                continue
+            reduced += 1
+            pool = explorer.states[idx].pool
+            touched = 0
+            for tid in chosen:
+                reads, writes, flags = index.thread_footprint(pool[tid])
+                assert not flags & (FLAG_OUT | FLAG_SC | FLAG_PRM)
+                touched |= reads | writes
+            for tid in set(live) - set(chosen):
+                ts = pool[tid]
+                future = _future(program, ts.local)
+                future = program.locations() if future is None else future
+                future |= {item.var for item in ts.promises}
+                assert not touched & index.mask(future), (idx, chosen, tid)
+        return reduced
+
+    def test_suite(self, monkeypatch):
+        reduced = 0
+        for name, test in sorted(LITMUS_SUITE.items()):
+            config = dataclasses.replace(suite_config(test), por="dpor")
+            reduced += self._check(test.program, config, monkeypatch)
+        assert reduced > 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 4, 6])
+    def test_generated_with_promises(self, seed, monkeypatch):
+        program = random_wwrf_program(
+            seed, GeneratorConfig(threads=2, instrs_per_thread=5)
+        )
+        config = SemanticsConfig(
+            promise_oracle=SyntacticPromises(budget=1, max_outstanding=1), por="dpor"
+        )
+        self._check(program, config, monkeypatch)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 5])
+    def test_generated_three_threads(self, seed, monkeypatch):
+        program = random_wwrf_program(
+            seed, GeneratorConfig(threads=3, instrs_per_thread=4)
+        )
+        assert self._check(program, DPOR, monkeypatch) > 0
 
 
 BRANCH = """
@@ -474,7 +604,7 @@ class TestLiveFuture:
 
         program = LITMUS_SUITE["MP-relacq"].program
         locations = program.locations()
-        # Reserve steps never run out, so that graph is capped.
+        # The reserving graph is capped to keep the test small.
         reserving = SemanticsConfig(enable_reservations=True, max_states=400, por="dpor")
         explorer = Explorer(program, reserving)
         explorer.build()
@@ -612,23 +742,26 @@ class TestCheckpointResume:
         resumed = Explorer.resume(checkpoint, program)
         assert resumed.behaviors().traces == behaviors(program).traces
 
-    def test_mid_wakeup_tree_interruption_sweep(self):
-        """Interrupt the DFS at every small state cap — crossing points
-        where wakeup sequences are live on the stack — and resume each
-        checkpoint to completion with identical behaviors."""
+    def test_interruption_sweep_resumes_to_the_uninterrupted_graph(self):
+        """Interrupt the DFS at every small state cap and resume each
+        checkpoint to completion: the resumed build stores the same
+        states in the same order, takes the same transitions, and digests
+        the same behaviors as the uninterrupted one."""
+        from repro.semantics.version import behavior_digest
+
         program = LITMUS_SUITE["2+2W"].program
         full = Explorer(program, DPOR)
         expected = full.behaviors()
-        # The full run records wakeup sequences, so the cap sweep below
-        # necessarily snapshots mid-wakeup-tree states.
-        assert full.dpor_stats.wakeup_sequences > 0
-        unreduced = behaviors(program).traces
-        assert expected.traces == unreduced
+        assert expected.traces == behaviors(program).traces
         for cap in (3, 5, 8, 13, 21):
             first = Explorer(program, DPOR)
             first.build(meter=Budget(max_states=cap).start())
-            resumed = Explorer.resume(first.snapshot(), program, DPOR).behaviors()
-            assert resumed.traces == unreduced, cap
+            assert not first.exhaustive, cap
+            resumed = Explorer.resume(first.snapshot(), program, DPOR)
+            finished = resumed.behaviors()
+            assert resumed.states == full.states, cap
+            assert resumed.dpor_stats.transitions == full.dpor_stats.transitions, cap
+            assert behavior_digest(finished) == behavior_digest(expected), cap
 
     def test_checkpoint_from_other_semantics_version_is_refused(
         self, monkeypatch
@@ -671,14 +804,24 @@ class TestNewlyEnabledCorpora:
         )
         assert plain.traces == reduced.traces == conservative.traces
 
-    # Reservation configs cannot be equality-tested through full
-    # exploration: reserve steps stack reservations at ever-higher
-    # timestamps, so the reachable state space is infinite (which is why
-    # reservations are off by default and their semantics tests drive
-    # ``thread_steps`` directly).  Instead we pin down the two properties
-    # the DPOR core relies on for reservation soundness: footprints
-    # degenerate to all-dependent, and finishing threads fold their
-    # reachable cancel variants into the finishing macro-step.
+    # Reservation configs: a thread reserves only the slot right after a
+    # location's latest message, so their explorations finish; the
+    # footprints degenerate to all-dependent, and finishing threads fold
+    # their reachable cancel variants into the finishing macro-step.
+
+    @pytest.mark.parametrize("name", ["MP-relacq", "LB", "CoRR"])
+    def test_reservation_explorations_finish(self, name):
+        """Reservations add no outcome on these tests: ``none`` and
+        ``dpor`` finish with the trace set of the default config (``none``
+        on CoRR takes ten times longer and is left out)."""
+        program = LITMUS_SUITE[name].program
+        expected = behaviors(program).traces
+        reserving = SemanticsConfig(enable_reservations=True)
+        engines = ["dpor"] if name == "CoRR" else ["none", "dpor"]
+        for por in engines:
+            result = behaviors(program, dataclasses.replace(reserving, por=por))
+            assert result.exhaustive, (name, por)
+            assert result.traces == expected, (name, por)
 
     def test_reservation_footprints_are_all_dependent(self):
         """With reservations enabled a non-done thread may reserve *any*
