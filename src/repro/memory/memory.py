@@ -368,13 +368,33 @@ class Memory(HashConsed):
         is accepted so alternative cap styles can exclude them in
         ablations — pass ``Memory(())`` for the paper's behavior.
         """
-        capped = self
-        for var in self.locations():
-            for lo, hi in self.gaps(var):
-                if not any(p.var == var and p.frm <= lo and hi <= p.to for p in promises):
-                    capped = capped.add(Reservation(var, lo, hi))
-            last = capped.latest_ts(var)
-            capped = capped.add(Reservation(var, last, successor(last)))
+        # One pass: the reservations fill each location's gaps exactly and
+        # sit past its end, so they are disjoint by construction and each
+        # location's group is the merge of its items with them.
+        by_var: Dict[str, Tuple[MemoryItem, ...]] = {}
+        ordered: List[MemoryItem] = []
+        isum = self._isum
+        tight = self._tight
+        for var in sorted(self._by_var):
+            group = self._by_var[var]
+            added = [
+                Reservation(var, lo, hi)
+                for lo, hi in self.gaps(var)
+                if not any(p.var == var and p.frm <= lo and hi <= p.to for p in promises)
+            ]
+            last = group[-1].to
+            added.append(Reservation(var, last, successor(last)))
+            isum += sum(reservation._hashcode for reservation in added)
+            var_items = intern_items(
+                tuple(sorted(group + tuple(added), key=lambda m: (m.to, m.frm)))
+            )
+            by_var[var] = var_items
+            ordered.extend(var_items)
+            tight = tight or _var_tight(var_items)
+        capped = object.__new__(Memory)
+        capped._seal(
+            intern_items(tuple(ordered)), self.sc_view, by_var, isum & HASH_MASK, tight
+        )
         return capped
 
     def __str__(self) -> str:

@@ -26,8 +26,8 @@ the probe cheap:
   (:mod:`repro.semantics.version`, :mod:`repro.serve.store`).
 
 * **Interning** — :class:`Interner` canonicalizes shared substructures
-  (views, time maps, per-location message tuples, thread pools) so equal
-  values become the *same object*.  ``PyObject_RichCompareBool`` — the
+  (views, time maps, per-location message tuples, thread states, thread
+  pools) so equal values become the *same object*.  ``PyObject_RichCompareBool`` — the
   workhorse behind tuple/dict equality — short-circuits on identity, so
   interned substructures make the equality half of a dict probe O(1) per
   shared component, and deduplication shrinks the resident state graph.
@@ -206,12 +206,14 @@ class Interner:
 TIMEMAPS = Interner()
 VIEWS = Interner()
 ITEM_TUPLES = Interner()
+THREAD_STATES = Interner()
 POOLS = Interner()
 
 _ALL = {
     "timemaps": TIMEMAPS,
     "views": VIEWS,
     "item_tuples": ITEM_TUPLES,
+    "thread_states": THREAD_STATES,
     "pools": POOLS,
 }
 
@@ -229,6 +231,15 @@ def intern_view(view):
 def intern_items(items: tuple) -> tuple:
     """Canonicalize a tuple of memory items (whole-memory or per-location)."""
     return ITEM_TUPLES.intern(items)
+
+
+def intern_thread_state(ts):
+    """Canonicalize a :class:`~repro.semantics.threadstate.ThreadState`.
+
+    Pools are interned process-wide, so a pool keeps the thread state
+    objects of the first build that made it; interning those objects too
+    keeps every later probe keyed by a thread state an identity hit."""
+    return THREAD_STATES.intern(ts)
 
 
 def intern_pool(pool: tuple) -> tuple:

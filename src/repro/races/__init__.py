@@ -9,7 +9,9 @@
 * :mod:`repro.races.tiered` — the three-tier ladder: static rw
   (:mod:`repro.static.rwraces`) and static ww
   (:mod:`repro.static.wwraces`) first, one shared exhaustive exploration
-  only for whatever they leave inconclusive.
+  only for whatever they leave inconclusive (or, for callers that
+  explore anyway, the graph first and the static tiers only on
+  truncation).
 """
 
 from repro.races.wwrf import RaceReport, WwRaceWitness, scan_races, ww_nprf, ww_rf
@@ -17,6 +19,7 @@ from repro.races.ladder import TierOutcome, format_tiers
 from repro.races.rwrace import RwRaceWitness, RwReport, rw_races
 from repro.races.tiered import (
     RaceLadderReport,
+    check_races_graph_first,
     check_races_tiered,
     rw_races_tiered,
     ww_rf_tiered,
@@ -30,6 +33,7 @@ __all__ = [
     "RwReport",
     "TierOutcome",
     "WwRaceWitness",
+    "check_races_graph_first",
     "check_races_tiered",
     "format_tiers",
     "rw_races",

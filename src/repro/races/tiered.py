@@ -27,7 +27,9 @@ The contract:
 
 ``ww_rf_tiered`` / ``ww_rf_tiered_with_static`` keep the original
 two-tier ww entry points; ``rw_races_tiered`` is the rw counterpart and
-``check_races_tiered`` runs the full ladder.
+``check_races_tiered`` runs the full ladder.  ``check_races_graph_first``
+runs it the other way round, for callers that build the interleaving
+graph anyway.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ from repro.semantics.exploration import ExplorationSession
 from repro.semantics.thread import SemanticsConfig
 from repro.static.rwraces import StaticRwReport, analyze_rw_races
 from repro.static.wwraces import StaticRaceReport, analyze_ww_races
+
+#: The reports of a race kind the static tier discharged: zero states.
+_STATIC_WW = RaceReport(True, None, True, 0, method="static")
+_STATIC_RW = RwReport(True, (), True, 0, method="static")
 
 
 def ww_rf_tiered(
@@ -69,14 +75,7 @@ def ww_rf_tiered_with_static(
     (for diagnostics: witnesses of why the fallback was needed)."""
     static = analyze_ww_races(program)
     if static.race_free:
-        report = RaceReport(
-            race_free=True,
-            witness=None,
-            exhaustive=True,
-            state_count=0,
-            method="static",
-        )
-        return report, static
+        return _STATIC_WW, static
     return _check(program, config, nonpreemptive, session)[0], static
 
 
@@ -93,14 +92,7 @@ def rw_races_tiered(
     (whose witnesses explain any fallback)."""
     static = analyze_rw_races(program)
     if static.race_free:
-        report = RwReport(
-            race_free=True,
-            witnesses=(),
-            exhaustive=True,
-            state_count=0,
-            method="static",
-        )
-        return report, static
+        return _STATIC_RW, static
     return _check(program, config, nonpreemptive, session)[1], static
 
 
@@ -110,8 +102,7 @@ class RaceLadderReport:
 
     ww: RaceReport
     rw: RwReport
-    #: ``None`` when the ladder ran without the static ww tier.
-    static_ww: Optional[StaticRaceReport]
+    static_ww: StaticRaceReport
     static_rw: StaticRwReport
     #: Per-tier timing/decision trail (empty for reports built by hand).
     tiers: Tuple[TierOutcome, ...] = ()
@@ -138,30 +129,24 @@ def check_races_tiered(
     config: Optional[SemanticsConfig] = None,
     nonpreemptive: bool = False,
     session: Optional[ExplorationSession] = None,
-    static_ww: bool = True,
 ) -> RaceLadderReport:
     """Run the full ladder: static rw, static ww, then — only if either
     was inconclusive — build **one** explorer and scan its states once,
     keeping the verdict of whichever race kind remained undecided.  A
     ``session`` (whose config then applies) shares that graph with the
-    caller's other checks; ``static_ww=False`` leaves the ww verdict to
-    the scan (``static_ww`` of the report is then ``None``)."""
+    caller's other checks."""
     started = time.perf_counter()
     static_rw = analyze_rw_races(program)
     rw_elapsed = time.perf_counter() - started
-    tiers = [TierOutcome("static-rw", rw_elapsed, static_rw.race_free)]
-    static_ww_report: Optional[StaticRaceReport] = None
-    if static_ww:
-        started = time.perf_counter()
-        static_ww_report = analyze_ww_races(program)
-        ww_elapsed = time.perf_counter() - started
-        tiers.append(TierOutcome("static-ww", ww_elapsed, static_ww_report.race_free))
-    rw_report: Optional[RwReport] = None
-    ww_report: Optional[RaceReport] = None
-    if static_rw.race_free:
-        rw_report = RwReport(True, (), True, 0, method="static")
-    if static_ww_report is not None and static_ww_report.race_free:
-        ww_report = RaceReport(True, None, True, 0, method="static")
+    started = time.perf_counter()
+    static_ww = analyze_ww_races(program)
+    ww_elapsed = time.perf_counter() - started
+    tiers = [
+        TierOutcome("static-rw", rw_elapsed, static_rw.race_free),
+        TierOutcome("static-ww", ww_elapsed, static_ww.race_free),
+    ]
+    rw_report = _STATIC_RW if static_rw.race_free else None
+    ww_report = _STATIC_WW if static_ww.race_free else None
     if rw_report is None or ww_report is None:
         started = time.perf_counter()
         ww_scan, rw_scan = _check(program, config, nonpreemptive, session)
@@ -175,6 +160,27 @@ def check_races_tiered(
             True,
             f"{ww_scan.state_count} states",
         ))
-    return RaceLadderReport(
-        ww_report, rw_report, static_ww_report, static_rw, tuple(tiers)
-    )
+    return RaceLadderReport(ww_report, rw_report, static_ww, static_rw, tuple(tiers))
+
+
+def check_races_graph_first(
+    program: Program,
+    config: Optional[SemanticsConfig] = None,
+    session: Optional[ExplorationSession] = None,
+    static_tier: bool = True,
+    report_rw: bool = True,
+) -> Tuple[RaceReport, Optional[RwReport]]:
+    """The ladder the other way round, for a caller that explores
+    ``program`` on the interleaving machine anyway (through ``session``):
+    scan that graph once for both race kinds, and — with ``static_tier``
+    — ask the static tiers only when it is truncated.  A static
+    ``RACE_FREE`` is sound, so it can change no exhaustive scan's verdict.
+    The rw report is ``None`` without ``report_rw``."""
+    ww, rw_scan = _check(program, config, False, session)
+    rw = rw_scan if report_rw else None
+    if static_tier and not ww.exhaustive:
+        if analyze_ww_races(program).race_free:
+            ww = _STATIC_WW
+        if rw is not None and analyze_rw_races(program).race_free:
+            rw = _STATIC_RW
+    return ww, rw

@@ -140,7 +140,10 @@ stack (a back edge, or a self-loop) is widened to every live thread, so
 no thread is ignored forever around a cycle (the stack proviso).  So is
 a reduced expansion with no successor: a macro-step can have zero
 outcomes (every certification fails) while another thread can still
-move.  ``full_expansions`` counts both.
+move.  ``full_expansions`` counts both.  A pure-local loop never leaves
+its macro-step's suffix, so the suffix stops where the thread's local
+state repeats: the macro-step is then a self-loop, which the proviso
+widens.
 
 **Macro-step memo.**  A thread step and its certification read only the
 thread's own state and the shared memory (the machine step, Fig. 9), so
@@ -190,7 +193,8 @@ from repro.lang.syntax import (
 from repro.memory.memory import Memory
 from repro.memory.message import Message
 from repro.memory.timemap import View
-from repro.robust.budget import BudgetExhausted
+from repro.perf.intern import intern_thread_state
+from repro.robust.budget import REASON_STATES, BudgetExhausted
 from repro.semantics.certification import certification_locations, consistent
 from repro.semantics.events import OutputEvent
 from repro.semantics.machine import MachineState, _PURE_LOCAL, renormalized_state
@@ -271,6 +275,8 @@ class FootprintIndex:
         "_live",
         "_loc_names",
         "_stripped",
+        "_facts",
+        "_chosen",
     )
 
     def __init__(
@@ -318,6 +324,11 @@ class FootprintIndex:
         #: killing a location strips the same bystanders on every
         #: transition out of a state).
         self._stripped: Dict[Tuple[object, int], object] = {}
+        #: ``thread state -> (thread_footprint, live_locations)``: most
+        #: thread states recur unchanged under many stored states.
+        self._facts: Dict[ThreadState, Tuple[Optional[Footprint], int]] = {}
+        #: ``(footprints, future masks) -> persistent_set(...)``.
+        self._chosen: Dict[Tuple[tuple, tuple], Tuple[int, ...]] = {}
 
     def mask(self, locs) -> int:
         """The bit mask of a location set (unknown locations, which can
@@ -518,9 +529,37 @@ class FootprintIndex:
             self._loc_names[mask] = names
         return names
 
+    def facts(self, ts: ThreadState) -> Tuple[Optional[Footprint], int]:
+        """``(thread_footprint(ts), live_locations(ts))``, computed once
+        per distinct thread state of the exploration."""
+        facts = self._facts.get(ts)
+        if facts is None:
+            facts = self._facts[ts] = (
+                self.thread_footprint(ts),
+                self.live_locations(ts),
+            )
+        return facts
+
+    def persistent(
+        self, fps: Sequence[Footprint], futures: Sequence[int]
+    ) -> Tuple[int, ...]:
+        """:func:`persistent_set` of the live threads' footprints and
+        future location masks, computed once per distinct pair."""
+        key = (tuple(fps), tuple(futures))
+        chosen = self._chosen.get(key)
+        if chosen is None:
+            chosen = self._chosen[key] = persistent_set(
+                fps, [(future, future, 0) for future in futures]
+            )
+        return chosen
+
     def normalize(self, ts: ThreadState) -> ThreadState:
         """``ts`` with its dead registers dropped (``_retire`` if it has
-        finished): no future step reads them."""
+        finished), as no future step reads them, and interned, so every
+        memo probe keyed by it is an identity hit."""
+        return intern_thread_state(self._drop_dead(ts))
+
+    def _drop_dead(self, ts: ThreadState) -> ThreadState:
         local = ts.local
         if local.done:
             return _retire(ts)
@@ -538,9 +577,10 @@ class FootprintIndex:
         )
         if len(kept) == len(local.regs):
             return ts
-        local = LocalState(local.func, local.label, local.offset, kept, local.stack)
-        return ThreadState(
-            local, ts.view, ts.promises, ts.vrel, ts.vacq, ts.promise_budget
+        return ts.with_local(
+            LocalState._make(
+                local.func, local.label, local.offset, kept, local.stack, False
+            )
         )
 
     def strip_thread(self, ts: ThreadState, dead: int) -> ThreadState:
@@ -554,9 +594,7 @@ class FootprintIndex:
             vacq = _strip_view(ts.vacq, names)
             out = ts
             if view is not ts.view or vrel is not ts.vrel or vacq is not ts.vacq:
-                out = ThreadState(
-                    ts.local, view, ts.promises, vrel, vacq, ts.promise_budget
-                )
+                out = intern_thread_state(ts.replace(view=view, vrel=vrel, vacq=vacq))
             self._stripped[key] = out
         return out
 
@@ -604,6 +642,10 @@ class FootprintIndex:
 
 _EMPTY_MEMORY = Memory(())
 
+#: A local suffix ticks the budget meter once per this many steps: only a
+#: suffix that runs a long local loop ever reaches it.
+_SUFFIX_TICK = 256
+
 
 def _group_sum(group) -> int:
     return sum(item._hashcode for item in group)
@@ -646,7 +688,9 @@ class DporStats:
     #: Reduced expansions widened to every live thread: by the cycle
     #: proviso, or because the persistent set had no successor.
     full_expansions: int = 0
-    #: Footprints widened to a certification window (promise-bearing).
+    #: Distinct thread states whose footprint was widened to a
+    #: certification window (promise-bearing); footprints are computed
+    #: once per thread state of a build (``FootprintIndex.facts``).
     promise_footprints: int = 0
     #: Transitions whose outcomes came from the macro-step memo (the
     #: ``(thread state, memory)`` pair, or the thread state with the same
@@ -716,7 +760,14 @@ def _retire(ts: ThreadState) -> ThreadState:
     local = ts.local
     if not local.done or len(ts.promises):
         return ts
-    return ThreadState(LocalState(local.func, local.label, local.offset, done=True))
+    return _RETIRED.with_local(
+        LocalState._make(local.func, local.label, local.offset, (), (), True)
+    )
+
+
+#: The fields every retired thread shares: bottom views, no promises, no
+#: promise budget (``_retire`` fills in the final position).
+_RETIRED = ThreadState(LocalState("", "", 0))
 
 
 def _record_deltas(mem, outcomes: List[Outcome], names: FrozenSet[str]):
@@ -783,7 +834,8 @@ def dpor_build(
     explorer's ``states``/``edges``/``terminal`` arrays in place.
 
     A stateful DFS expands each stored state once.  Budget-aware exactly
-    like the BFS: ``meter`` is ticked between expansions and a trip stops
+    like the BFS: ``meter`` is ticked once per expansion (and every
+    :data:`_SUFFIX_TICK` steps of a long local suffix), and a trip stops
     the search in a consistent, resumable shape (the DFS stack, the set of
     visited states and the stats are kept on the explorer as
     ``_dpor_state`` for :meth:`Explorer.snapshot`).
@@ -829,7 +881,7 @@ def dpor_build(
         explorer.terminal.append(state.all_done)
         return idx
 
-    def local_suffix(ts: ThreadState, mem):
+    def local_suffix(ts: ThreadState, mem, certified: bool):
         """Extend a just-executed step through the thread's deterministic
         pure-local continuation, promises deferred.
 
@@ -838,27 +890,55 @@ def dpor_build(
         unchanged, so folding the silent suffix into the macro-step neither loses
         behaviors nor invalidates the recorded footprint — it only stops
         local chains from costing one stored state (and one promise
-        branching point) per step."""
+        branching point) per step.
+
+        ``certified`` says whether ``ts`` passed certification.  A
+        deterministic pure-local step preserves ``consistent`` both ways
+        (the certifying run from ``ts`` must take it first, and takes no
+        more search steps from the successor), so only the first suffix
+        step after an uncertified output step is checked.  The suffix
+        stops where the thread's local state repeats: the macro-step then
+        ends on the loop, and the cycle proviso lets the other threads
+        run.  A suffix that never repeats ticks the budget meter, and
+        stops the build once it is ``max_states`` steps long (the
+        unreduced explorer would store a state per step)."""
+        seen = None
+        steps = 0
         while not ts.local.done and isinstance(
             next_op(program, ts.local), _PURE_LOCAL
         ):
-            steps = list(
+            successors = list(
                 thread_steps(program, ts, mem, config, allow_promises=False)
             )
-            if len(steps) != 1:
+            if len(successors) != 1:
                 break
-            _, next_ts, next_mem = steps[0]
-            if not consistent(
-                program,
-                next_ts,
-                next_mem,
-                config,
-                explorer.cert_cache,
-                explorer.cert_stats,
-                explorer.cert_precheck,
-            ):
+            _, next_ts, next_mem = successors[0]
+            if not certified:
+                if not consistent(
+                    program,
+                    next_ts,
+                    next_mem,
+                    config,
+                    explorer.cert_cache,
+                    explorer.cert_stats,
+                    explorer.cert_precheck,
+                ):
+                    break
+                certified = True
+            if seen is None:
+                seen = {ts.local}
+            if next_ts.local in seen:
                 break
+            seen.add(next_ts.local)
             ts, mem = next_ts, next_mem
+            steps += 1
+            if not steps % _SUFFIX_TICK:
+                if steps >= config.max_states:
+                    raise BudgetExhausted(
+                        REASON_STATES, detail=f"local suffix of {steps} steps"
+                    )
+                if meter is not None:
+                    meter.tick(len(explorer.states))
         return ts, mem
 
     def macro_outcomes(head: ThreadState, mem) -> List[Outcome]:
@@ -894,7 +974,7 @@ def dpor_build(
             ):
                 continue
             label = int(event.value) if is_out else None
-            new_ts, new_mem = local_suffix(new_ts, new_mem)
+            new_ts, new_mem = local_suffix(new_ts, new_mem, not is_out)
             outcomes.append(outcome(label, new_ts, new_mem))
             if (
                 config.enable_reservations
@@ -911,7 +991,7 @@ def dpor_build(
 
     def outcome(label: Optional[int], ts: ThreadState, mem) -> Outcome:
         ts = index.normalize(ts)
-        live = index.live_locations(ts) if index.drops_locations else 0
+        live = index.facts(ts)[1] if index.drops_locations else 0
         return (label, ts, mem, live)
 
     #: ``(thread state, memory) -> macro_outcomes(...)`` for this build
@@ -949,16 +1029,18 @@ def dpor_build(
             slice_memo[key] = recorded
         return outcomes
 
-    def execute(idx: int, tid: int, edges: Set[Tuple[Optional[int], int]]) -> List[int]:
-        """Run ``tid``'s macro-step from state ``idx``: intern the
-        successors, record the edges not in ``edges`` yet, and return the
-        successor indices."""
+    def execute(
+        idx: int, tid: int, masks: List[int], edges: Set[Tuple[Optional[int], int]]
+    ) -> List[int]:
+        """Run ``tid``'s macro-step from state ``idx``, whose threads have
+        the live location ``masks``: intern the successors, record the
+        edges not in ``edges`` yet, and return the successor indices."""
         stats.transitions += 1
         state = explorer.states[idx]
         succs: List[int] = []
         pool = state.pool
         head = pool[tid]
-        head_live = index.live_locations(head) if index.drops_locations else 0
+        head_live = masks[tid] if index.drops_locations else 0
         others = None
         for label, new_ts, new_mem, new_live in outcomes_of(head, state.mem, head_live):
             new_pool = update_pool(pool, tid, new_ts)
@@ -969,9 +1051,9 @@ def dpor_build(
             if gone:
                 if others is None:
                     others = 0
-                    for other, ts in enumerate(pool):
+                    for other, mask in enumerate(masks):
                         if other != tid:
-                            others |= index.live_locations(ts)
+                            others |= mask
                 dead = gone & ~others
                 if dead:
                     new_pool = tuple(index.strip_thread(ts, dead) for ts in new_pool)
@@ -998,29 +1080,29 @@ def dpor_build(
         pool = explorer.states[idx].pool
         live: List[int] = []
         fps: List[Footprint] = []
+        futures: List[int] = []
+        masks: List[int] = []
         for tid, ts in enumerate(pool):
-            fp = index.thread_footprint(ts)
+            fp, live_mask = index.facts(ts)
+            masks.append(live_mask)
             if fp is not None:
                 live.append(tid)
                 fps.append(fp)
-        chosen = range(len(live))
+                futures.append(live_mask | fp[0] | fp[1])
+        chosen: Sequence[int] = range(len(live))
         if len(live) > 1:
-            futures = []
-            for tid, (reads, writes, _flags) in zip(live, fps):
-                future = index.live_locations(pool[tid]) | reads | writes
-                futures.append((future, future, 0))
-            chosen = persistent_set(fps, futures)
+            chosen = index.persistent(fps, futures)
         edges: Set[Tuple[Optional[int], int]] = set()
         succs: List[int] = []
         for pos in chosen:
-            succs += execute(idx, live[pos], edges)
+            succs += execute(idx, live[pos], masks, edges)
         if len(chosen) < len(live) and (
             not succs or any(succ in on_stack for succ in succs)
         ):
             stats.full_expansions += 1
             for pos in range(len(live)):
                 if pos not in chosen:
-                    succs += execute(idx, live[pos], edges)
+                    succs += execute(idx, live[pos], masks, edges)
         return succs
 
     if resume is None:
@@ -1033,16 +1115,6 @@ def dpor_build(
 
     next_checkpoint = len(explorer.states) + checkpoint_interval
     while stack:
-        if meter is not None:
-            try:
-                meter.tick(
-                    len(explorer.states),
-                    sample=explorer.states[-1] if explorer.states else None,
-                )
-            except BudgetExhausted as exc:
-                explorer.exhaustive = False
-                explorer.stop_reason = exc.reason
-                return
         if checkpoint_path and len(explorer.states) >= next_checkpoint:
             from repro.robust.checkpoint import save_checkpoint
 
@@ -1052,9 +1124,26 @@ def dpor_build(
         frame = stack[-1]
         idx, todo = frame
         if todo is None:
-            # Successors are visited last first; reversing keeps the DFS
-            # in outcome order.
-            frame[1] = expand(idx)[::-1]
+            counts = dict(vars(stats))
+            try:
+                if meter is not None:
+                    meter.tick(
+                        len(explorer.states),
+                        sample=explorer.states[-1] if explorer.states else None,
+                    )
+                # Successors are visited last first; reversing keeps the
+                # DFS in outcome order.
+                frame[1] = expand(idx)[::-1]
+            except BudgetExhausted as exc:
+                # A trip inside a local suffix leaves the state unexpanded:
+                # drop its partial edges and counts so a resumed build
+                # expands it anew (successors it already stored keep their
+                # indices; the new expansion finds them again).
+                explorer.edges[idx].clear()
+                vars(stats).update(counts)
+                explorer.exhaustive = False
+                explorer.stop_reason = exc.reason
+                return
         elif not todo:
             stack.pop()
             on_stack.discard(idx)

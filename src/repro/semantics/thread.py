@@ -127,7 +127,9 @@ StepResult = Tuple[ThreadEvent, ThreadState, Memory]
 
 def _advance(local: LocalState) -> LocalState:
     """Move past the current instruction inside the block."""
-    return local.replace(offset=local.offset + 1)
+    return LocalState._make(
+        local.func, local.label, local.offset + 1, local.regs, local.stack, local.done
+    )
 
 
 def thread_steps(
@@ -247,6 +249,7 @@ def _read_steps(ts: ThreadState, mem: Memory, instr: Load) -> Iterator[StepResul
         floor = ts.view.tna.get(instr.loc)
     else:
         floor = ts.view.trlx.get(instr.loc)
+    advanced = _advance(ts.local)
     for message in mem.readable(instr.loc, floor):
         if mode is AccessMode.NA:
             view = ts.view.bump_read_na(instr.loc, message.to)
@@ -256,7 +259,7 @@ def _read_steps(ts: ThreadState, mem: Memory, instr: Load) -> Iterator[StepResul
             vacq = ts.vacq.join(message.view)
             if mode is AccessMode.ACQ:
                 view = view.join(message.view)
-        new_local = _advance(ts.local.set_reg(instr.dst, message.value))
+        new_local = advanced.set_reg(instr.dst, message.value)
         new_ts = ts.replace(local=new_local, view=view, vacq=vacq)
         yield ReadEvent(mode, instr.loc, message.value), new_ts, mem
 

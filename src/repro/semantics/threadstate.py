@@ -23,6 +23,14 @@ from repro.memory.timestamps import Timestamp
 from repro.perf.intern import HashConsed, intern_view, seal
 
 
+def _reject_unknown(state, changes: Dict[str, object]) -> None:
+    """Raise ``TypeError`` for a ``replace`` keyword that names no field of
+    ``state``, as re-running the constructor would."""
+    if not changes.keys() <= state._field_set:
+        unknown = ", ".join(sorted(changes.keys() - state._field_set))
+        raise TypeError(f"{type(state).__name__} has no field {unknown}")
+
+
 class LocalState(HashConsed):
     """The sequential control state ``σ`` of one thread.
 
@@ -33,6 +41,7 @@ class LocalState(HashConsed):
     __slots__ = ("func", "label", "offset", "regs", "stack", "done")
 
     _fields = ("func", "label", "offset", "regs", "stack", "done")
+    _field_set = frozenset(_fields)
 
     def __init__(
         self,
@@ -46,13 +55,41 @@ class LocalState(HashConsed):
         cleaned = tuple(
             sorted((name, Int32(value)) for name, value in dict(regs).items() if value != 0)
         )
+        self._set(func, label, offset, cleaned, stack, done)
+
+    def _set(
+        self,
+        func: str,
+        label: str,
+        offset: int,
+        regs: Tuple[Tuple[str, Int32], ...],
+        stack: Tuple[Tuple[str, str], ...],
+        done: bool,
+    ) -> None:
         object.__setattr__(self, "func", func)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "regs", cleaned)
+        object.__setattr__(self, "regs", regs)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "done", done)
-        seal(self, ("Local", func, label, offset, cleaned, stack, done))
+        seal(self, ("Local", func, label, offset, regs, stack, done))
+
+    @classmethod
+    def _make(
+        cls,
+        func: str,
+        label: str,
+        offset: int,
+        regs: Tuple[Tuple[str, Int32], ...],
+        stack: Tuple[Tuple[str, str], ...],
+        done: bool,
+    ) -> "LocalState":
+        """Field-level builder: ``regs`` must already be in the
+        constructor's normal form (sorted by name, ``Int32`` values, no
+        zeros), which every existing state's register tuple is."""
+        local = object.__new__(cls)
+        local._set(func, label, offset, regs, stack, done)
+        return local
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -86,9 +123,36 @@ class LocalState(HashConsed):
 
     def set_reg(self, name: str, value: Int32) -> "LocalState":
         """A copy with the register bound to ``value``."""
-        regs = dict(self.regs)
-        regs[name] = Int32(value)
-        return self.replace(regs=tuple(regs.items()))
+        value = Int32(value)
+        regs = self.regs
+        pos = 0
+        while pos < len(regs) and regs[pos][0] < name:
+            pos += 1
+        rest = pos + 1 if pos < len(regs) and regs[pos][0] == name else pos
+        entry = ((name, value),) if value != 0 else ()
+        return LocalState._make(
+            self.func,
+            self.label,
+            self.offset,
+            regs[:pos] + entry + regs[rest:],
+            self.stack,
+            self.done,
+        )
+
+    def replace(self, **changes) -> "LocalState":
+        """A copy with the given fields replaced; the register tuple is
+        re-normalized only when ``regs`` is among them."""
+        _reject_unknown(self, changes)
+        if "regs" in changes:
+            return super().replace(**changes)
+        return LocalState._make(
+            changes.get("func", self.func),
+            changes.get("label", self.label),
+            changes.get("offset", self.offset),
+            self.regs,
+            changes.get("stack", self.stack),
+            changes.get("done", self.done),
+        )
 
     def __str__(self) -> str:
         if self.done:
@@ -113,6 +177,16 @@ def next_op(program: Program, local: LocalState) -> Optional[Union[Instr, Termin
 _EMPTY_PROMISES = Memory(())
 
 
+def _interned(view: View) -> View:
+    # Duck-typed view stand-ins (the races API accepts any object with
+    # tna/trlx) are neither internable nor hash-consed: skip them.
+    return intern_view(view) if isinstance(view, View) else view
+
+
+def _any_concrete(promises: Memory) -> bool:
+    return any(item.is_concrete for item in promises)
+
+
 class ThreadState(HashConsed):
     """``TS = (σ, V, P)`` plus the fence views of the full PS2.1 model.
 
@@ -123,12 +197,21 @@ class ThreadState(HashConsed):
     :mod:`repro.semantics.promises`).
 
     Construction interns the three views (most thread states share
-    ``V⊥`` or a handful of joined views) and precomputes the hash.
+    ``V⊥`` or a handful of joined views) and precomputes the hash and
+    ``has_promises``; :meth:`replace` and :meth:`with_local` redo only
+    the part a changed field needs.
     """
 
-    __slots__ = ("local", "view", "promises", "vrel", "vacq", "promise_budget")
+    __slots__ = (
+        "local", "view", "promises", "vrel", "vacq", "promise_budget", "has_promises"
+    )
 
     _fields = ("local", "view", "promises", "vrel", "vacq", "promise_budget")
+    _field_set = frozenset(_fields)
+
+    #: Whether any *concrete* promise (not a mere reservation) remains;
+    #: computed once at construction.
+    has_promises: bool
 
     def __init__(
         self,
@@ -139,20 +222,33 @@ class ThreadState(HashConsed):
         vacq: View = BOTTOM_VIEW,
         promise_budget: int = 0,
     ) -> None:
-        # Duck-typed view stand-ins (the races API accepts any object with
-        # tna/trlx) are neither internable nor hash-consed: skip them.
-        if isinstance(view, View):
-            view = intern_view(view)
-        if isinstance(vrel, View):
-            vrel = intern_view(vrel)
-        if isinstance(vacq, View):
-            vacq = intern_view(vacq)
+        self._set(
+            local,
+            _interned(view),
+            promises,
+            _interned(vrel),
+            _interned(vacq),
+            promise_budget,
+            _any_concrete(promises),
+        )
+
+    def _set(
+        self,
+        local: LocalState,
+        view: View,
+        promises: Memory,
+        vrel: View,
+        vacq: View,
+        promise_budget: int,
+        has_promises: bool,
+    ) -> None:
         object.__setattr__(self, "local", local)
         object.__setattr__(self, "view", view)
         object.__setattr__(self, "promises", promises)
         object.__setattr__(self, "vrel", vrel)
         object.__setattr__(self, "vacq", vacq)
         object.__setattr__(self, "promise_budget", promise_budget)
+        object.__setattr__(self, "has_promises", has_promises)
         seal(
             self,
             (
@@ -184,18 +280,48 @@ class ThreadState(HashConsed):
 
     __hash__ = HashConsed.__hash__
 
+    def replace(self, **changes) -> "ThreadState":
+        """A copy with the given fields replaced.  Only a view that changed
+        is re-interned, and ``has_promises`` is rescanned only when the
+        promise set changed: the unchanged fields are already normal."""
+        _reject_unknown(self, changes)
+        view, vrel, vacq = self.view, self.vrel, self.vacq
+        if "view" in changes and changes["view"] is not view:
+            view = _interned(changes["view"])
+        if "vrel" in changes and changes["vrel"] is not vrel:
+            vrel = _interned(changes["vrel"])
+        if "vacq" in changes and changes["vacq"] is not vacq:
+            vacq = _interned(changes["vacq"])
+        promises = changes.get("promises", self.promises)
+        fresh = object.__new__(ThreadState)
+        fresh._set(
+            changes.get("local", self.local),
+            view,
+            promises,
+            vrel,
+            vacq,
+            changes.get("promise_budget", self.promise_budget),
+            self.has_promises if promises is self.promises else _any_concrete(promises),
+        )
+        return fresh
+
     def with_local(self, local: LocalState) -> "ThreadState":
         """A copy with the sequential state replaced."""
-        return self.replace(local=local)
+        fresh = object.__new__(ThreadState)
+        fresh._set(
+            local,
+            self.view,
+            self.promises,
+            self.vrel,
+            self.vacq,
+            self.promise_budget,
+            self.has_promises,
+        )
+        return fresh
 
     def with_view(self, view: View) -> "ThreadState":
         """A copy with the thread view replaced."""
         return self.replace(view=view)
-
-    @property
-    def has_promises(self) -> bool:
-        """Whether any *concrete* promise (not a mere reservation) remains."""
-        return any(item.is_concrete for item in self.promises)
 
     def collect_timestamps(self, into: Set[Timestamp]) -> None:
         """Add every timestamp in the views and promise set to ``into``."""

@@ -13,7 +13,10 @@ comparison, plus the two meta-properties the paper's framework guarantees:
 
 Race-freedom of source and target is established through the tiered
 checker (:func:`repro.races.ww_rf_tiered`): the thread-modular static
-analysis first, exhaustive exploration only when it is inconclusive.  Pass
+analysis first, exhaustive exploration only when it is inconclusive.
+Refinement on the interleaving machine explores both programs anyway, so
+there the order flips: the race verdicts are read off those graphs, and
+the static tiers are asked only when a graph is truncated.  Pass
 ``static_tier=False`` to force pure exploration.
 
 ``validate_corpus`` sweeps a seed range of randomly generated ww-RF
@@ -35,7 +38,11 @@ from repro.litmus.generator import GeneratorConfig, random_wwrf_program
 from repro.opt.base import Optimizer
 from repro.races.ladder import TierOutcome, format_tiers
 from repro.races.rwrace import RwReport
-from repro.races.tiered import check_races_tiered, rw_races_tiered, ww_rf_tiered
+from repro.races.tiered import (
+    check_races_graph_first,
+    rw_races_tiered,
+    ww_rf_tiered,
+)
 from repro.races.wwrf import RaceReport, ww_rf
 from repro.robust.confidence import Confidence, derive_confidence
 from repro.semantics.exploration import ExplorationSession
@@ -151,11 +158,16 @@ def validate_optimizer(
 ) -> ValidationReport:
     """Validate one optimizer run: refinement + ww-RF preservation.
 
-    ``static_tier`` (default) routes the race checks through
-    :func:`repro.races.ww_rf_tiered`, skipping state exploration for
-    programs the static analysis proves race-free.  ``report_rw``
-    additionally runs the tiered rw-race census on source and target
-    (:func:`repro.races.rw_races_tiered` — static tier first), attaching
+    The race checks read the interleaving graph.  With
+    ``nonpreemptive=False`` refinement builds that graph anyway, so the
+    scans come first (:func:`repro.races.check_races_graph_first`) and
+    ``static_tier`` (default) only lets the static tiers decide what a
+    truncated graph leaves open.  With
+    ``nonpreemptive=True`` it routes the checks through
+    :func:`repro.races.ww_rf_tiered` and
+    :func:`repro.races.rw_races_tiered`, skipping the interleaving graph
+    for programs the static analysis proves race-free.  ``report_rw``
+    additionally takes the rw-race census of source and target, attaching
     the reports for diagnostics; rw-races never affect the verdict.
     ``target`` is the optimizer's output when the caller already ran it.
 
@@ -175,11 +187,11 @@ def validate_optimizer(
     def race_checks(program: Program) -> Tuple[RaceReport, Optional[RwReport]]:
         """The ww-RF report and, with ``report_rw``, the rw census of
         ``program``: each graph is scanned once for both race kinds."""
-        if report_rw and not nonpreemptive:
-            ladder = check_races_tiered(
-                program, config, session=session, static_ww=static_tier
+        if not nonpreemptive:
+            # Refinement explores ``program`` on this machine anyway.
+            return check_races_graph_first(
+                program, config, session, static_tier, report_rw
             )
-            return ladder.ww, ladder.rw
         check = ww_rf_tiered if static_tier else ww_rf
         ww = check(program, config, session=session)
         if not report_rw:

@@ -3,7 +3,12 @@
 from repro.lang.builder import straightline_program
 from repro.lang.syntax import AccessMode, Const, Store
 from repro.litmus.library import LITMUS_SUITE
-from repro.races import ww_rf, ww_rf_tiered, ww_rf_tiered_with_static
+from repro.races import (
+    check_races_graph_first,
+    ww_rf,
+    ww_rf_tiered,
+    ww_rf_tiered_with_static,
+)
 from repro.semantics.thread import SemanticsConfig
 from repro.static import StaticVerdict
 
@@ -57,3 +62,23 @@ def test_nonpreemptive_fallback():
 
     static_side = ww_rf_tiered(disjoint(), nonpreemptive=True)
     assert static_side.method == "static" and static_side.race_free
+
+
+def test_graph_first_scans_an_exhaustive_graph():
+    ww, rw = check_races_graph_first(disjoint())
+    assert ww.method == "exhaustive" and ww.race_free and ww.state_count > 0
+    assert rw is not None and rw.method == "exhaustive" and rw.race_free
+    assert check_races_graph_first(disjoint(), report_rw=False)[1] is None
+
+
+def test_graph_first_asks_the_static_tiers_only_when_truncated():
+    capped = SemanticsConfig(max_states=1)
+    ww, rw = check_races_graph_first(disjoint(), capped)
+    assert ww.method == rw.method == "static"
+    assert ww.race_free and ww.exhaustive and rw.race_free
+    ww, rw = check_races_graph_first(disjoint(), capped, static_tier=False)
+    assert ww.method == rw.method == "exhaustive"
+    assert not ww.exhaustive and not rw.exhaustive
+    # The static tier cannot discharge a real race: the scan's verdict stays.
+    ww, _ = check_races_graph_first(racy(), capped)
+    assert ww.method == "exhaustive" and not ww.exhaustive

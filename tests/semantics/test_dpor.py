@@ -33,6 +33,9 @@ from repro.semantics.thread import SemanticsConfig
 
 DPOR = SemanticsConfig(por="dpor")
 
+#: The engine's memoized persistent-set choice, before any test wraps it.
+_PERSISTENT = dpor.FootprintIndex.persistent
+
 
 def suite_config(test) -> SemanticsConfig:
     base = SemanticsConfig()
@@ -276,6 +279,42 @@ class TestCycleProviso:
         assert (2,) in plain.traces
         assert explorer.dpor_stats.full_expansions > 0
 
+    def test_pure_local_spin_loop_terminates(self):
+        """A thread whose loop never leaves pure-local code: its local
+        suffix stops where the local state repeats, the macro-step is a
+        self-loop, and the proviso lets the other thread run."""
+        from repro.lang.parser import parse_program
+
+        program = parse_program(
+            "atomics x; fn spin { entry: jmp entry; } "
+            "fn shot { entry: x.rlx := 1; print(2); return; } threads spin, shot;"
+        )
+        plain = behaviors(program, SemanticsConfig(por="none"))
+        # The deadline turns a regression into a failure, not a hang.
+        guarded = SemanticsConfig(por="dpor", budget=Budget(deadline_seconds=10))
+        reduced = behaviors(program, guarded)
+        assert reduced.exhaustive
+        assert reduced.traces == plain.traces
+        assert (2,) in plain.traces
+
+    def test_non_repeating_local_loop_trips_deadline(self):
+        """A pure-local loop whose state never repeats runs in one local
+        suffix: the suffix ticks the budget meter, so a deadline stops it."""
+        from repro.lang.parser import parse_program
+
+        program = parse_program(
+            "fn count { entry: r1 := r1 + 1; jmp entry; } "
+            "fn shot { entry: print(2); return; } threads count, shot;"
+        )
+        config = SemanticsConfig(por="dpor", budget=Budget(deadline_seconds=0.2))
+        result = behaviors(program, config)
+        assert result.exhaustive is False
+        assert result.stop_reason == "deadline"
+        # With no budget, the state cap bounds the suffix instead.
+        capped = behaviors(program, SemanticsConfig(por="dpor", max_states=1000))
+        assert capped.exhaustive is False
+        assert capped.stop_reason == "states"
+
     def test_empty_persistent_set_falls_back_to_every_thread(self, monkeypatch):
         """A macro-step can have no outcome (every certification fails).
         Here the stuck thread's store never certifies, so it is the
@@ -428,15 +467,15 @@ class TestPersistentSets:
     def _check(self, program, config, monkeypatch) -> int:
         chosen_at = {}
 
-        def recording(fps, futures):
-            chosen = persistent_set(fps, futures)
+        def recording(index, fps, futures):
+            chosen = _PERSISTENT(index, fps, futures)
             caller = sys._getframe(1).f_locals
             chosen_at[caller["idx"]] = (
                 [caller["live"][pos] for pos in chosen], list(caller["live"])
             )
             return chosen
 
-        monkeypatch.setattr(dpor, "persistent_set", recording)
+        monkeypatch.setattr(dpor.FootprintIndex, "persistent", recording)
         explorer = Explorer(program, config)
         explorer.build()
         index = dpor.FootprintIndex(program, config)
@@ -762,6 +801,47 @@ class TestCheckpointResume:
             assert resumed.states == full.states, cap
             assert resumed.dpor_stats.transitions == full.dpor_stats.transitions, cap
             assert behavior_digest(finished) == behavior_digest(expected), cap
+
+    def test_trip_inside_a_local_suffix_resumes_to_the_uninterrupted_graph(self):
+        """A 900-step countdown runs in one local suffix, which ticks the
+        meter at steps 256, 512 and 768.  Tripping at every tick in turn,
+        the suffix trips included, and resuming: the resumed build stores
+        the same states and counts each expansion once."""
+        from repro.lang.parser import parse_program
+
+        program = parse_program(
+            "atomics x; fn count { entry: r1 := 300; jmp loop; "
+            "loop: be r1, body, out; body: r1 := r1 - 1; jmp loop; "
+            "out: print(1); return; } "
+            "fn shot { entry: x.rlx := 1; print(2); return; } threads count, shot;"
+        )
+
+        class TripAt:
+            def __init__(self, at) -> None:
+                self.at = at
+                self.ticks = 0
+                self.in_suffix = 0
+
+            def tick(self, count, sample=None) -> None:
+                self.ticks += 1
+                # Only the per-expansion tick passes a sample state.
+                self.in_suffix += sample is None
+                if self.ticks == self.at:
+                    raise BudgetExhausted("deadline")
+
+        full = Explorer(program, DPOR)
+        counter = TripAt(None)
+        full.build(meter=counter)
+        assert counter.in_suffix == 3
+        for at in range(1, counter.ticks + 1):
+            first = Explorer(program, DPOR)
+            first.build(meter=TripAt(at))
+            assert first.stop_reason == "deadline", at
+            resumed = Explorer.resume(first.snapshot(), program, DPOR)
+            assert resumed.behaviors().traces == full.behaviors().traces, at
+            assert resumed.states == full.states, at
+            assert resumed.dpor_stats.nodes == full.dpor_stats.nodes, at
+            assert resumed.dpor_stats.transitions == full.dpor_stats.transitions, at
 
     def test_checkpoint_from_other_semantics_version_is_refused(
         self, monkeypatch
