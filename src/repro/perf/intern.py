@@ -200,6 +200,38 @@ class Interner:
         self.flushes = 0
 
 
+class PoolInterner(Interner):
+    """An :class:`Interner` for thread pools, keyed by the pool's hash.
+
+    A pool tuple hashes through one Python-level ``__hash__`` call per
+    thread, and a machine state needs that hash twice: to probe the table
+    and to seal itself.  :meth:`intern_hashed` hashes the pool once and
+    hands the hash back with the canonical pool (``seal`` of a key holding
+    the hash equals ``seal`` of the key holding the pool).  Two unequal
+    pools with one hash keep only the later one: interning has no
+    correctness obligations.
+    """
+
+    __slots__ = ()
+
+    def intern_hashed(self, pool: tuple) -> Tuple[tuple, int]:
+        """``(canonical pool, hash(pool))``."""
+        h = hash(pool)
+        canonical = self._table.get(h)
+        if canonical is not None and (canonical is pool or canonical == pool):
+            self.hits += 1
+            return canonical, h
+        if len(self._table) >= self.max_entries:
+            self._table.clear()
+            self.flushes += 1
+        self.misses += 1
+        self._table[h] = pool
+        return pool, h
+
+    def intern(self, value: T) -> T:
+        return self.intern_hashed(value)[0]  # type: ignore[arg-type]
+
+
 #: Process-global intern tables for the substructures machine states share
 #: most heavily.  Per-table rather than one big table so stats stay
 #: attributable and a flush in one family does not evict the others.
@@ -207,7 +239,7 @@ TIMEMAPS = Interner()
 VIEWS = Interner()
 ITEM_TUPLES = Interner()
 THREAD_STATES = Interner()
-POOLS = Interner()
+POOLS = PoolInterner()
 
 _ALL = {
     "timemaps": TIMEMAPS,
@@ -242,9 +274,9 @@ def intern_thread_state(ts):
     return THREAD_STATES.intern(ts)
 
 
-def intern_pool(pool: tuple) -> tuple:
-    """Canonicalize a thread pool tuple."""
-    return POOLS.intern(pool)
+def intern_pool(pool: tuple) -> Tuple[tuple, int]:
+    """Canonicalize a thread pool tuple: ``(canonical pool, its hash)``."""
+    return POOLS.intern_hashed(pool)
 
 
 def interner_stats() -> Dict[str, Dict[str, int]]:

@@ -47,24 +47,63 @@ are dependent iff
 * both are outputs (their relative order is the observable trace), or
 * either carries the conservative :data:`FLAG_PRM` (see below).
 
-**Certification-scoped promise dependence.**  A thread holding (or able
-to make) promises has every step followed by a certification run
+**Certification-scoped promise dependence.**  A *potential promiser* —
+a thread holding a promise, or one with budget left and a non-empty
+candidate mask (below) — has every step followed by a certification run
 (:func:`~repro.semantics.certification.consistent`).  The verdict of that
 run depends only on the memory content of the thread's *certification
 window* — the locations accessed by code reachable from its current
 function and pending callers, plus its outstanding promise/reservation
 locations (:func:`~repro.semantics.certification.certification_locations`)
-— so promise-bearing steps *read* that window rather than "everything".
-Promise steps additionally *write* the oracle's candidate locations
-(placement and visibility of the new message);
-:class:`~repro.semantics.promises.SyntacticPromises` candidates are
-memory-independent, which keeps every footprint a function of the thread
-state alone.  Unknown oracle classes and reservation-enabled configs fall
-back to universal writes (a reserve step may target any location), so
-their sets are the whole pool.  ``--por-conservative``
-(:attr:`SemanticsConfig.por_conservative`) restores the old "depends on
-everything" :data:`TOP_FP` treatment — no reduction at all — as a
-soundness oracle.
+— so its steps *read* that window rather than "everything".  Its promise
+steps additionally *write* its candidate mask (placement and visibility
+of the new message).  The mask is the
+:class:`~repro.semantics.promises.SyntacticPromises` candidates of the
+continuation functions that some continuation suffix, callees and
+pending frames included, can still fulfil-store
+(``FulfillMap.fulfillable`` of :mod:`repro.static.certcheck`); it is a
+function of the thread's position alone, which keeps every footprint a
+function of the thread state.  Any other thread certifies trivially, so
+its footprint is just its next op's.  Unknown oracle classes and
+reservation-enabled configs fall back to universal writes (a reserve
+step may target any location), so their sets are the whole pool.
+``--por-conservative`` (:attr:`SemanticsConfig.por_conservative`)
+restores the old "depends on everything" :data:`TOP_FP` treatment — no
+reduction at all — as a soundness oracle.
+
+**Promises only where they can matter.**  Under a syntactic oracle,
+DPOR narrows promise steps by four rules; ``none`` keeps the full oracle
+as the reference.
+
+* (a) the candidate mask above is per position
+  (``FootprintIndex._position_masks``);
+* (b) a thread whose candidate mask is empty is stored with promise
+  budget 0 (``FootprintIndex.normalize``, counted by
+  ``DporStats.budgets_dropped``);
+* (c) the oracle offers a macro-step only its head's candidate mask, and
+  nothing at a pure-local head (``FootprintIndex.offered``, passed to
+  ``thread_steps`` as ``promise_locations``);
+* (d) a macro-step is offered no location that no other live thread's
+  future (``live_locations``) contains (``execute``, counted by
+  ``DporStats.promises_withheld``).  The offer depends on the other
+  threads, so it is part of both macro-step memo keys.
+
+Why they are exact.  For (a)–(c): a promise no continuation can fulfil
+fails certification (the fulfill map is a sound may-analysis), so
+withholding it loses no state.  The fulfillable set only shrinks along a
+run — a suffix from a later position is a suffix from an earlier one —
+so once the mask is empty no later promise can certify either, and an
+unspent budget would only keep apart states with the same future.  For
+(d): only another thread can usefully read a promise.  Any read raises
+the reader's ``trlx`` to the message (``bump_read_na``,
+``bump_read_atomic``), and a write fulfils only above ``trlx``
+(``_write_steps``), so a promiser that reads its own promise can never
+certify.  A thread never accesses a location again once its future
+excludes it, because futures only shrink.  A promise nobody reads can
+then be replaced by a plain write of the same message at fulfilment
+time, in the same free slot, with the same trace.  Persistent sets stay
+exact: a non-member's step can only shrink a member's offer, and what it
+withholds is such an unread promise.
 
 **Finished threads.**  The interleaving machine never switches to a done,
 promise-free thread, and a done thread with unfulfilled concrete promises
@@ -85,6 +124,8 @@ everything else is normalized away before a successor is interned:
 * A thread that has finished with no promises or reservations left is
   *retired* (``_retire``): its registers, stack, views and promise budget
   are dropped, keeping only its final position.
+* A live thread whose candidate mask is empty keeps no promise budget
+  (rule (b) above).
 * A live thread keeps only the registers that are live at its position
   (``FootprintIndex.normalize``): a register is dead if every path
   overwrites it before reading it.  Liveness is semantic — a store's
@@ -147,7 +188,8 @@ widens.
 
 **Macro-step memo.**  A thread step and its certification read only the
 thread's own state and the shared memory (the machine step, Fig. 9), so
-the outcomes of a macro-step are a pure function of ``(pool[tid], mem)``.
+the outcomes of a macro-step are a pure function of ``(pool[tid], mem)``
+and the promise locations it is offered (rule (d)).
 The same pair recurs under many stored states (every interleaving of
 independent steps of *other* threads leaves it unchanged), so each
 build computes it once (``macro_outcomes``) and replays it on later
@@ -155,9 +197,10 @@ transitions (``memo_hits``); only the successor machine states are
 rebuilt, renormalized and interned per transition.  Narrower still, a
 macro-step reads and writes only the thread's live locations and the SC
 view (a promise elsewhere cannot certify), so a miss of the
-``(thread state, memory)`` key tries a second one: the thread state, the
-item groups of its live locations, and the SC view.  Its entries are
-stored as per-location deltas and re-applied to the current memory.
+``(thread state, memory, offer)`` key tries a second one: the thread
+state, the item groups of its live locations, the SC view and the
+offer.  Its entries are stored as per-location deltas and re-applied to
+the current memory.
 
 The reduced graph is written into the owning
 :class:`~repro.semantics.exploration.Explorer`'s ``states``/``edges``/
@@ -172,7 +215,7 @@ plus the ``--por-conservative`` differential
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.lang.syntax import (
     Be,
@@ -201,6 +244,9 @@ from repro.semantics.machine import MachineState, _PURE_LOCAL, renormalized_stat
 from repro.semantics.promises import NoPromises, SyntacticPromises, syntactic_write_candidates
 from repro.semantics.thread import SemanticsConfig, thread_steps
 from repro.semantics.threadstate import LocalState, ThreadState, next_op, update_pool
+
+if TYPE_CHECKING:
+    from repro.static.certcheck import FulfillMap
 
 #: Footprint flag: the step is an observable output (all outputs are
 #: mutually dependent — their relative order is the trace).
@@ -267,8 +313,10 @@ class FootprintIndex:
         "drops_locations",
         "_oracle_kind",
         "_max_outstanding",
+        "_fulfill",
         "_op_fp",
         "_window",
+        "_syntactic",
         "_cand",
         "_reg_bit",
         "_call_targets",
@@ -284,6 +332,7 @@ class FootprintIndex:
         program: Program,
         config: SemanticsConfig,
         stats: Optional["DporStats"] = None,
+        fulfill: Optional["FulfillMap"] = None,
     ) -> None:
         self.program = program
         self.config = config
@@ -295,17 +344,28 @@ class FootprintIndex:
         self.universe = (1 << len(self.loc_bit)) - 1
         oracle = config.promise_oracle
         self._max_outstanding = 0
+        #: The static fulfill map (:mod:`repro.static.certcheck`) behind
+        #: the per-position promise candidates; a syntactic oracle only.
+        self._fulfill: Optional["FulfillMap"] = None
         if type(oracle) is NoPromises:
             self._oracle_kind = "none"
         elif type(oracle) is SyntacticPromises:
             self._oracle_kind = "syntactic"
             self._max_outstanding = oracle.max_outstanding
+            if fulfill is None:
+                from repro.static.certcheck import build_fulfill_map
+
+                fulfill = build_fulfill_map(program)
+            self._fulfill = fulfill
         else:
             # Unknown oracle classes may promise anywhere — universal.
             self._oracle_kind = "other"
         self._op_fp: Dict[Tuple[str, str, int], Footprint] = {}
         self._window: Dict[FrozenSet[str], int] = {}
-        self._cand: Dict[FrozenSet[str], int] = {}
+        self._syntactic: Dict[FrozenSet[str], int] = {}
+        #: position ``(func, label, offset, stack)`` -> ``(candidate mask,
+        #: offer mask)``; the offer is 0 where the next op is pure-local.
+        self._cand: Dict[tuple, Tuple[int, int]] = {}
         # Liveness normalization.  An unknown oracle may read registers or
         # memory anywhere when it proposes promises, and a reserve step may
         # target any location, so those configs keep what they would drop.
@@ -370,16 +430,53 @@ class FootprintIndex:
             self._window[funcs] = m
         return m
 
-    def _candidate_mask(self, local: LocalState) -> int:
-        funcs = self._continuation_funcs(local)
-        m = self._cand.get(funcs)
-        if m is None:
-            m = 0
-            for func in funcs:
-                for loc, _value in syntactic_write_candidates(self.program, func):
-                    m |= self.loc_bit[loc]
-            self._cand[funcs] = m
-        return m
+    def _position_masks(self, local: LocalState) -> Tuple[int, int]:
+        """``(candidate mask, offer mask)`` of a live position.
+
+        The candidate mask holds the locations a promise made at
+        ``local`` could certify on: the oracle's syntactic candidates of
+        the continuation functions that some continuation suffix, callees
+        and pending frames included, can still fulfil-store
+        (``FulfillMap.fulfillable``).  A promise elsewhere fails
+        certification.  It only shrinks along a run.  The offer mask is
+        the same, or 0 where the next op is pure-local (a macro-step
+        defers promises past its local chain)."""
+        key = (local.func, local.label, local.offset, local.stack)
+        masks = self._cand.get(key)
+        if masks is None:
+            funcs = self._continuation_funcs(local)
+            syntactic = self._syntactic.get(funcs)
+            if syntactic is None:
+                syntactic = 0
+                for func in funcs:
+                    for loc, _value in syntactic_write_candidates(self.program, func):
+                        syntactic |= self.loc_bit[loc]
+                self._syntactic[funcs] = syntactic
+            candidates = syntactic & self.mask(self._fulfill.fulfillable(local))
+            local_op = isinstance(next_op(self.program, local), _PURE_LOCAL)
+            masks = self._cand[key] = (candidates, 0 if local_op else candidates)
+        return masks
+
+    def _may_promise(self, ts: ThreadState) -> bool:
+        """Whether ``ts``'s budget and outstanding allowance permit a
+        promise step (a syntactic oracle's own gate)."""
+        return ts.promise_budget > 0 and (
+            sum(1 for item in ts.promises if item.is_concrete)
+            < self._max_outstanding
+        )
+
+    @property
+    def narrows_promises(self) -> bool:
+        """Whether the oracle is narrowed per position (a syntactic one)."""
+        return self._fulfill is not None
+
+    def offered(self, ts: ThreadState) -> int:
+        """The mask of locations a syntactic oracle may offer at the head
+        of ``ts``'s next macro-step: its offer mask, 0 once the budget or
+        the outstanding allowance is spent."""
+        if ts.local.done or not self._may_promise(ts):
+            return 0
+        return self._position_masks(ts.local)[1]
 
     def thread_footprint(self, ts: ThreadState) -> Optional[Footprint]:
         """The footprint of ``ts``'s next macro-step, ``None`` if the
@@ -400,12 +497,12 @@ class FootprintIndex:
             # block other threads' placements there: universal writes.
             writes |= self.universe
         promising = ts.has_promises
-        if self._oracle_kind == "syntactic":
-            if ts.promise_budget > 0 and (
-                sum(1 for item in ts.promises if item.is_concrete)
-                < self._max_outstanding
-            ):
-                writes |= self._candidate_mask(local)
+        if self._oracle_kind == "syntactic" and self._may_promise(ts):
+            # A thread whose position offers no candidate is no potential
+            # promiser: its steps certify trivially.
+            candidates = self._position_masks(local)[0]
+            if candidates:
+                writes |= candidates
                 promising = True
         elif self._oracle_kind == "other":
             writes |= self.universe
@@ -555,14 +652,25 @@ class FootprintIndex:
 
     def normalize(self, ts: ThreadState) -> ThreadState:
         """``ts`` with its dead registers dropped (``_retire`` if it has
-        finished), as no future step reads them, and interned, so every
-        memo probe keyed by it is an identity hit."""
+        finished), as no future step reads them, and with its promise
+        budget dropped where no promise could certify any more, and
+        interned, so every memo probe keyed by it is an identity hit."""
         return intern_thread_state(self._drop_dead(ts))
 
     def _drop_dead(self, ts: ThreadState) -> ThreadState:
         local = ts.local
         if local.done:
             return _retire(ts)
+        if (
+            ts.promise_budget
+            and self._fulfill is not None
+            and not self._position_masks(local)[0]
+        ):
+            # The candidate mask only shrinks, so no later promise step
+            # could certify: the unspent budget carries no meaning.
+            ts = ts.replace(promise_budget=0)
+            if self.stats is not None:
+                self.stats.budgets_dropped += 1
         if not local.regs or not self.drops_registers:
             return ts
         live = self._function_liveness(local.func)[local.label, local.offset][0]
@@ -688,14 +796,24 @@ class DporStats:
     #: Reduced expansions widened to every live thread: by the cycle
     #: proviso, or because the persistent set had no successor.
     full_expansions: int = 0
-    #: Distinct thread states whose footprint was widened to a
-    #: certification window (promise-bearing); footprints are computed
-    #: once per thread state of a build (``FootprintIndex.facts``).
+    #: Distinct thread states that are potential promisers — holding a
+    #: promise, or with budget left and a non-empty candidate mask — so
+    #: their footprint reads the certification window; footprints are
+    #: computed once per thread state of a build (``FootprintIndex.facts``).
     promise_footprints: int = 0
     #: Transitions whose outcomes came from the macro-step memo (the
-    #: ``(thread state, memory)`` pair, or the thread state with the same
-    #: live memory slice and SC view, had already been executed).
+    #: ``(thread state, memory, offered promise locations)`` key, or the
+    #: thread state with the same live memory slice, SC view and offered
+    #: locations, had already been executed).
     memo_hits: int = 0
+    #: Macro-step outcomes whose thread state was stored with its unspent
+    #: promise budget dropped, as no promise could certify from its
+    #: position (rule b); memo hits replay outcomes and are not counted.
+    budgets_dropped: int = 0
+    #: Candidate promise locations withheld from transitions because no
+    #: other live thread's future contains them (rule d), summed over
+    #: transitions.
+    promises_withheld: int = 0
 
     @property
     def redundant_executions(self) -> int:
@@ -713,6 +831,8 @@ class DporStats:
             "full_expansions": self.full_expansions,
             "promise_footprints": self.promise_footprints,
             "memo_hits": self.memo_hits,
+            "budgets_dropped": self.budgets_dropped,
+            "promises_withheld": self.promises_withheld,
             "redundant_executions": self.redundant_executions,
         }
 
@@ -842,7 +962,8 @@ def dpor_build(
     """
     program: Program = explorer.program
     config: SemanticsConfig = explorer.config
-    index = FootprintIndex(program, config)
+    index = FootprintIndex(program, config, fulfill=explorer.cert_precheck)
+    narrows = index.narrows_promises
 
     resume = explorer._dpor_resume
     if resume is not None:
@@ -941,26 +1062,34 @@ def dpor_build(
                     meter.tick(len(explorer.states))
         return ts, mem
 
-    def macro_outcomes(head: ThreadState, mem) -> List[Outcome]:
+    def macro_outcomes(head: ThreadState, mem, offer: Optional[int]) -> List[Outcome]:
         """Every outcome (``(label, new_ts, new_mem, live)``) a macro-step
-        of ``head`` over ``mem`` reaches: the certified visible steps, each
-        extended through its pure-local suffix, plus the reservation cancel
-        closure of a finishing thread.  A thread step and its certification
-        read only the thread's own state and the shared memory, so this is
-        a pure function of ``(head, mem)`` (``outcomes_of`` memoizes it).
-        Each outcome's thread state is normalized
-        (``FootprintIndex.normalize``: dead registers dropped, a finished
-        thread retired) and carries its live location mask, so the memo
-        pays for both once per entry."""
+        of ``head`` over ``mem`` reaches when the oracle may promise on the
+        ``offer`` mask (``None``: anywhere): the certified visible steps,
+        each extended through its pure-local suffix, plus the reservation
+        cancel closure of a finishing thread.  A thread step and its
+        certification read only the thread's own state and the shared
+        memory, so this is a pure function of ``(head, mem, offer)``
+        (``outcomes_of`` memoizes it).  Each outcome's thread state is
+        normalized (``FootprintIndex.normalize``: dead registers and a
+        budget no promise can spend dropped, a finished thread retired)
+        and carries its live location mask, so the memo pays for both
+        once per entry."""
         outcomes: List[Outcome] = []
         # A macro-step starting at a pure-local op is the deterministic
         # local chain itself: no promise branching at its head either
-        # (deferral is sound for the same reason it is mid-chain).
+        # (deferral is sound for the same reason it is mid-chain), and
+        # ``FootprintIndex.offered`` is 0 there.
         head_local = not head.local.done and isinstance(
             next_op(program, head.local), _PURE_LOCAL
         )
         for event, new_ts, new_mem in thread_steps(
-            program, head, mem, config, allow_promises=not head_local
+            program,
+            head,
+            mem,
+            config,
+            allow_promises=not head_local,
+            promise_locations=None if offer is None else index.locations_of(offer),
         ):
             is_out = isinstance(event, OutputEvent)
             if not is_out and not consistent(
@@ -994,36 +1123,40 @@ def dpor_build(
         live = index.facts(ts)[1] if index.drops_locations else 0
         return (label, ts, mem, live)
 
-    #: ``(thread state, memory) -> macro_outcomes(...)`` for this build
-    #: only: a resumed build refills it, checkpoints never carry it.
-    memo: Dict[Tuple[ThreadState, object], List[Outcome]] = {}
-    #: ``(thread state, its live slice of the memory, SC view) ->
-    #: _record_deltas(...)``: the second key, tried when ``memo`` misses
-    #: (see "Macro-step memo").
+    #: ``(thread state, memory, offered promise locations) ->
+    #: macro_outcomes(...)`` for this build only: a resumed build refills
+    #: it, checkpoints never carry it.  The offer depends on the other
+    #: threads' futures (rule d), hence its place in both keys.
+    memo: Dict[tuple, List[Outcome]] = {}
+    #: ``(thread state, its live slice of the memory, SC view, offered
+    #: promise locations) -> _record_deltas(...)``: the second key, tried
+    #: when ``memo`` misses (see "Macro-step memo").
     slice_memo: Dict[tuple, List[tuple]] = {}
 
-    def outcomes_of(head: ThreadState, mem, head_live: int) -> List[Outcome]:
-        """``macro_outcomes(head, mem)``, from either memo if it can;
-        ``head_live`` is ``head``'s live location mask."""
-        pair = (head, mem)
-        outcomes = memo.get(pair)
+    def outcomes_of(
+        head: ThreadState, mem, head_live: int, offer: Optional[int]
+    ) -> List[Outcome]:
+        """``macro_outcomes(head, mem, offer)``, from either memo if it
+        can; ``head_live`` is ``head``'s live location mask."""
+        triple = (head, mem, offer)
+        outcomes = memo.get(triple)
         if outcomes is not None:
             stats.memo_hits += 1
             return outcomes
         if not index.drops_locations or head_live == index.universe:
-            outcomes = memo[pair] = macro_outcomes(head, mem)
+            outcomes = memo[triple] = macro_outcomes(head, mem, offer)
             return outcomes
         names = index.locations_of(head_live)
-        key = (head, tuple(mem.per_loc(name) for name in names), mem.sc_view)
+        key = (head, tuple(mem.per_loc(name) for name in names), mem.sc_view, offer)
         recorded = slice_memo.get(key)
         if recorded is not None:
             stats.memo_hits += 1
-            outcomes = memo[pair] = [
+            outcomes = memo[triple] = [
                 (label, new_ts, _apply_deltas(mem, deltas, sc_view), live)
                 for label, new_ts, deltas, sc_view, live in recorded
             ]
             return outcomes
-        outcomes = memo[pair] = macro_outcomes(head, mem)
+        outcomes = memo[triple] = macro_outcomes(head, mem, offer)
         recorded = _record_deltas(mem, outcomes, frozenset(names))
         if recorded is not None:
             slice_memo[key] = recorded
@@ -1042,7 +1175,19 @@ def dpor_build(
         head = pool[tid]
         head_live = masks[tid] if index.drops_locations else 0
         others = None
-        for label, new_ts, new_mem, new_live in outcomes_of(head, state.mem, head_live):
+        offer = index.offered(head) if narrows else None
+        if offer and index.drops_locations:
+            # Rule (d): only another live thread can usefully read a
+            # promise, so offer only locations some other future holds.
+            others = 0
+            for other, mask in enumerate(masks):
+                if other != tid:
+                    others |= mask
+            stats.promises_withheld += bin(offer & ~others).count("1")
+            offer &= others
+        for label, new_ts, new_mem, new_live in outcomes_of(
+            head, state.mem, head_live, offer
+        ):
             new_pool = update_pool(pool, tid, new_ts)
             # A location dies only on the step of the last thread that
             # could access it: usually nothing dies and this costs one

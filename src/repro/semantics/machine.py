@@ -64,7 +64,8 @@ class MachineState(HashConsed):
     """``W = (TP, t, M)``.
 
     The hash is precomputed at construction and the pool tuple is
-    interned: the explorer probes its visited set with every successor
+    interned, hashed once for both (``intern_pool`` returns the pool's
+    hash with the canonical pool): the explorer probes its visited set with every successor
     state, and a cached hash plus identity-sharing substructures turn
     that probe from a deep structural walk into near-O(1) work
     (:mod:`repro.perf.intern`).
@@ -79,11 +80,11 @@ class MachineState(HashConsed):
     _fields = ("pool", "cur", "mem")
 
     def __init__(self, pool: ThreadPool, cur: int, mem: Memory) -> None:
-        pool = intern_pool(pool)
+        pool, pool_hash = intern_pool(pool)
         object.__setattr__(self, "pool", pool)
         object.__setattr__(self, "cur", cur)
         object.__setattr__(self, "mem", mem)
-        seal(self, ("W", pool, cur, mem._hashcode))
+        seal(self, ("W", pool_hash, cur, mem._hashcode))
 
     def __eq__(self, other) -> bool:
         if self is other:

@@ -70,12 +70,12 @@ class NPMachineState(HashConsed):
         mem: Memory,
         bit: SwitchBit = SwitchBit.FREE,
     ) -> None:
-        pool = intern_pool(pool)
+        pool, pool_hash = intern_pool(pool)
         object.__setattr__(self, "pool", pool)
         object.__setattr__(self, "cur", cur)
         object.__setattr__(self, "mem", mem)
         object.__setattr__(self, "bit", bit)
-        seal(self, ("NPW", pool, cur, mem._hashcode, bit.value))
+        seal(self, ("NPW", pool_hash, cur, mem._hashcode, bit.value))
 
     def __eq__(self, other) -> bool:
         if self is other:

@@ -16,6 +16,14 @@ and relaxed writes can be promised") with ``e`` either a literal constant or
 resolvable to a small constant set covers the litmus-relevant behaviors
 (e.g. LB).  The promise *budget* carried in each thread state keeps the
 state space finite.
+
+The candidates are per function, the same at every position.  Under
+``por="dpor"`` the explorer narrows them per position
+(``thread_steps(promise_locations=...)``): only locations some
+continuation can still fulfil-store, and only where another live thread
+can still read the promise (:mod:`repro.semantics.dpor`, "Promises only
+where they can matter").  ``por="none"`` offers them all, as the
+reference.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ Mode semantics implemented here (paper Sec. 3):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Tuple
+from typing import Collection, Iterator, Optional, Tuple
 
 from repro.lang.syntax import (
     AccessMode,
@@ -138,16 +138,20 @@ def thread_steps(
     mem: Memory,
     config: SemanticsConfig,
     allow_promises: bool = True,
+    promise_locations: Optional[Collection[str]] = None,
 ) -> Iterator[StepResult]:
     """Enumerate all PS2.1 steps of one thread from ``(ts, mem)``.
 
     ``allow_promises`` disables promise/reserve steps — used both by
     certification (a certifying run only fulfills) and by the
     non-preemptive machine when the switch bit is off.
+    ``promise_locations``, when given, narrows the oracle's candidates to
+    those locations (DPOR offers promises only where one can certify and
+    be read, :mod:`repro.semantics.dpor`).
     """
     yield from _program_steps(program, ts, mem, config)
     if allow_promises:
-        yield from _promise_steps(program, ts, mem, config)
+        yield from _promise_steps(program, ts, mem, config, promise_locations)
         if config.enable_reservations:
             yield from _reserve_steps(program, ts, mem, config)
     # Cancel steps are always allowed (Fig. 10 permits them at any β), but
@@ -410,11 +414,17 @@ def _terminator_steps(
 
 
 def _promise_steps(
-    program: Program, ts: ThreadState, mem: Memory, config: SemanticsConfig
+    program: Program,
+    ts: ThreadState,
+    mem: Memory,
+    config: SemanticsConfig,
+    locations: Optional[Collection[str]] = None,
 ) -> Iterator[StepResult]:
-    if ts.local.done:
+    if ts.local.done or (locations is not None and not locations):
         return
     for loc, value in config.promise_oracle.candidates(program, ts, mem):
+        if locations is not None and loc not in locations:
+            continue
         floor = ts.view.trlx.get(loc)
         for frm, to in mem.candidate_intervals(loc, floor, config.gap_leaving_writes):
             message = Message(loc, value, frm, to, BOTTOM_VIEW)

@@ -40,7 +40,12 @@ from typing import Any
 #: differ; a reserve step no longer stacks on a reservation; and litmus
 #: jobs run under DPOR, so their verdict keys change; ``-5`` entries
 #: must miss.
-SEMANTICS_VERSION = "ps21-repro-6"
+#: ``-7``: DPOR offers promises only where they can matter — per-position
+#: candidates from the static fulfill map, a budget no promise can spend
+#: dropped from the stored thread state, and no promise on a location no
+#: other live thread can still access — so DPOR graphs and checkpoints
+#: differ while behavior *sets* do not; ``-6`` entries must miss.
+SEMANTICS_VERSION = "ps21-repro-7"
 
 
 def config_digest(config: Any) -> str:

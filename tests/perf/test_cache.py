@@ -244,13 +244,13 @@ class TestBehaviorDigest:
 
 
 class TestSemanticsVersionBump:
-    """DPOR expanding persistent sets over each state's live future
-    bumped :data:`SEMANTICS_VERSION` to ``ps21-repro-6``: entries from
+    """DPOR offering promises only where they can certify and be read
+    bumped :data:`SEMANTICS_VERSION` to ``ps21-repro-7``: entries from
     earlier eras must be silent misses — never served, never mistaken for
     corruption."""
 
     def test_version_reflects_the_rework(self):
-        assert version.SEMANTICS_VERSION == "ps21-repro-6"
+        assert version.SEMANTICS_VERSION == "ps21-repro-7"
 
     def test_old_version_entries_are_misses_not_corruption(self, tmp_path, monkeypatch):
         source = SPEC.format(value=1)

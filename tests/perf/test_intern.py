@@ -190,7 +190,7 @@ for name, program, config in (
 out["random_run"] = list(map(str, random_run(lb.program, lb_config, seed=7).trace))
 if mode == "save":
     partial = Explorer(lb.program, lb_config)
-    partial.build(meter=Budget(max_states=40).start())
+    partial.build(meter=Budget(max_states=15).start())
     assert not partial.exhaustive
     save_checkpoint(partial.snapshot(), path)
 else:

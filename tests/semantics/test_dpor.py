@@ -358,7 +358,8 @@ class TestStatsAndGating:
         assert explorer.por_downgrade is None
         assert set(stats.as_dict()) == {
             "nodes", "transitions", "full_expansions", "promise_footprints",
-            "memo_hits", "redundant_executions",
+            "memo_hits", "budgets_dropped", "promises_withheld",
+            "redundant_executions",
         }
         assert stats.redundant_executions == 0
 
@@ -664,11 +665,12 @@ class TestLiveFuture:
 class TestMacroStepMemo:
     def test_each_distinct_macro_step_runs_once(self, monkeypatch):
         """Over the litmus suite, ``thread_steps`` runs once per distinct
-        ``(thread state, live slice of the memory, SC view)`` executed —
-        the live slice being the item groups of the locations the thread
-        can still access; a memo-bypassed run (one resumed build per DFS
-        iteration, so the memo is always cold) takes the same
-        transitions, nodes and states."""
+        ``(thread state, live slice of the memory, SC view, offered
+        promise locations)`` executed — the live slice being the item
+        groups of the locations the thread can still access; a
+        memo-bypassed run (one resumed build per DFS iteration, so the
+        memo is always cold) takes the same transitions, nodes and
+        states."""
         # Macro-step heads are the thread_steps calls made by
         # macro_outcomes itself, not its local-suffix or cancel calls.
         heads = []
@@ -679,7 +681,8 @@ class TestMacroStepMemo:
             if sys._getframe(1).f_code.co_name == "macro_outcomes":
                 names = index.locations_of(index.live_locations(ts))
                 live_slice = tuple(mem.per_loc(name) for name in names)
-                heads.append((ts, live_slice, mem.sc_view))
+                offer = kwargs.get("promise_locations")
+                heads.append((ts, live_slice, mem.sc_view, offer))
             return real(program, ts, mem, *args, **kwargs)
 
         monkeypatch.setattr(dpor, "thread_steps", counting)
@@ -995,3 +998,244 @@ class TestNewlyEnabledCorpora:
             program, dataclasses.replace(base, por_conservative=True)
         )
         assert precise.traces == oracle.traces
+
+
+#: The fulfilling store of the promise LB needs sits in a helper that the
+#: thread calls: the candidate mask must fold in callees.
+HELPER_STORE = """
+atomics x, y;
+fn put {
+entry:
+    y.rlx := 1;
+    return;
+}
+fn t1 {
+entry:
+    r1 := x.rlx;
+    call(put, after);
+after:
+    print(r1);
+    return;
+}
+fn t2 {
+entry:
+    r2 := y.rlx;
+    x.rlx := 1;
+    print(r2);
+    return;
+}
+threads t1, t2;
+"""
+
+#: LB whose first thread reads ``x`` in a helper and stores ``y`` after
+#: the return: the promise is made inside the helper, where only the
+#: pending frame can fulfil it.
+HELPER_LOAD = """
+atomics x, y;
+fn get {
+entry:
+    r1 := x.rlx;
+    return;
+}
+fn t1 {
+entry:
+    call(get, after);
+after:
+    y.rlx := 1;
+    print(r1);
+    return;
+}
+fn t2 {
+entry:
+    r2 := y.rlx;
+    x.rlx := 1;
+    print(r2);
+    return;
+}
+threads t1, t2;
+"""
+
+#: LB whose first thread spin-waits on an atomic flag after its store.
+STORE_THEN_SPIN = """
+atomics x, y, f;
+fn t1 {
+entry:
+    r1 := x.rlx;
+    y.rlx := 1;
+    jmp spin;
+spin:
+    r2 := f.acq;
+    be r2, out, spin;
+out:
+    print(r1);
+    return;
+}
+fn t2 {
+entry:
+    r3 := y.rlx;
+    x.rlx := 1;
+    f.rel := 1;
+    print(r3);
+    return;
+}
+threads t1, t2;
+"""
+
+#: LB whose first thread reads on long after its last store.
+READ_TAIL = """
+atomics x, y, z;
+fn t1 {
+entry:
+    r1 := x.rlx;
+    y.rlx := 1;
+    r2 := z.rlx;
+    r3 := z.rlx;
+    r4 := z.rlx;
+    r5 := z.rlx;
+    print(r1);
+    return;
+}
+fn t2 {
+entry:
+    r6 := y.rlx;
+    x.rlx := 1;
+    z.rlx := 1;
+    z.rlx := 2;
+    print(r6);
+    return;
+}
+threads t1, t2;
+"""
+
+#: LB between ``t2`` and a third thread ``t3`` that reads ``x`` late,
+#: after two reads of ``w``; ``t1`` never accesses ``x``.  A promise of
+#: ``x`` by ``t2`` is readable only by ``t3``, so only ``t3``'s future
+#: keeps it offered, and all ones (``r2 = r3 = 1``) needs it.
+LB_LATE_READER = """
+atomics x, y, z, w;
+fn t1 {
+entry:
+    r1 := y.rlx;
+    print(r1);
+    return;
+}
+fn t2 {
+entry:
+    r2 := z.rlx;
+    x.rlx := 1;
+    y.rlx := 1;
+    print(r2);
+    return;
+}
+fn t3 {
+entry:
+    r5 := w.rlx;
+    r6 := w.rlx;
+    r3 := x.rlx;
+    z.rlx := r3;
+    print(r3);
+    return;
+}
+threads t1, t2, t3;
+"""
+
+PROMISING = SemanticsConfig(
+    promise_oracle=SyntacticPromises(budget=1, max_outstanding=1)
+)
+
+
+class TestPromiseScope:
+    """DPOR offers promises only where they can certify and be read
+    (module docs, "Promises only where they can matter"): the trace sets
+    stay those of ``por="none"`` with the full oracle, and of the
+    conservative differential."""
+
+    @staticmethod
+    def _three_way(source):
+        from repro.lang.parser import parse_program
+
+        program = parse_program(source)
+        plain = behaviors(program, PROMISING)
+        explorer = Explorer(program, dataclasses.replace(PROMISING, por="dpor"))
+        reduced = explorer.behaviors()
+        conservative = behaviors(
+            program, dataclasses.replace(PROMISING, por="dpor", por_conservative=True)
+        )
+        assert reduced.traces == plain.traces == conservative.traces
+        # The promise outcome is there: promises add behaviors.
+        assert reduced.outputs() > behaviors(program).outputs()
+        return program, explorer, reduced
+
+    def test_fulfilling_store_in_a_helper(self):
+        program, explorer, reduced = self._three_way(HELPER_STORE)
+        assert (1, 1) in reduced.outputs()
+        index = dpor.FootprintIndex(program, explorer.config)
+        entry = explorer.states[0].pool[0]
+        # The callee's store is a candidate at the caller's entry.
+        assert index.offered(entry) == index.mask({"y"})
+        # The fulfill map is a static fact, not the pre-check knob.
+        unchecked = Explorer(
+            program, dataclasses.replace(explorer.config, certification_precheck=False)
+        )
+        assert unchecked.behaviors().traces == reduced.traces
+        assert len(unchecked.states) == len(explorer.states)
+
+    def test_fulfilling_store_in_a_pending_frame(self):
+        _, explorer, reduced = self._three_way(HELPER_LOAD)
+        assert (1, 1) in reduced.outputs()
+        inside = [s.pool[0] for s in explorer.states if s.pool[0].local.func == "get"]
+        assert inside and any(ts.has_promises for ts in inside)
+
+    def test_store_before_a_spin_wait(self):
+        _, explorer, reduced = self._three_way(STORE_THEN_SPIN)
+        assert (1, 1) in reduced.outputs()
+        spinning = [
+            s.pool[0] for s in explorer.states if s.pool[0].local.label == "spin"
+        ]
+        # Past its only store the spinner can promise nothing more.
+        assert spinning and all(ts.promise_budget == 0 for ts in spinning)
+
+    def test_read_tail_drops_the_spent_budget(self):
+        _, explorer, _ = self._three_way(READ_TAIL)
+        past_store = [
+            s.pool[0]
+            for s in explorer.states
+            if not s.pool[0].local.done and s.pool[0].local.offset >= 2
+        ]
+        assert past_store and all(ts.promise_budget == 0 for ts in past_store)
+        assert explorer.dpor_stats.budgets_dropped > 0
+        # 856 states when the unspent budget was kept after the last store.
+        assert len(explorer.states) == 419
+
+    def test_late_reader_keeps_the_promise(self):
+        _, explorer, reduced = self._three_way(LB_LATE_READER)
+        assert (1, 1, 1) in reduced.outputs()
+        assert explorer.dpor_stats.promises_withheld > 0
+
+    @pytest.mark.parametrize("name", ["LB", "LB-OOTA"])
+    def test_load_buffering_suite_keeps_its_promise_outcomes(self, name):
+        test = LITMUS_SUITE[name]
+        config = suite_config(test)
+        plain = behaviors(test.program, config)
+        reduced = behaviors(test.program, dataclasses.replace(config, por="dpor"))
+        assert reduced.traces == plain.traces
+        promise_free = behaviors(test.program).outputs()
+        if name == "LB":
+            assert reduced.outputs() - promise_free == {(1, 1)}
+        else:
+            assert (1, 1) not in reduced.outputs()
+            assert reduced.outputs() == promise_free
+
+    def test_oota_litmus_file(self):
+        from pathlib import Path
+
+        from repro.litmus.spec import check_spec, parse_spec
+
+        path = Path(__file__).resolve().parents[2] / "examples" / "litmus" / "oota.litmus"
+        spec = parse_spec(path.read_text())
+        config = dataclasses.replace(spec.config(), por="dpor")
+        result = check_spec(spec, config)
+        assert result.ok and result.exhaustive
+        assert set(result.observed) == set(
+            check_spec(spec, dataclasses.replace(config, por="none")).observed
+        )
