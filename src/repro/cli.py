@@ -15,10 +15,10 @@ Commands:
 All commands accept ``--promises N`` to enable a syntactic promise oracle
 with budget N, and ``--np`` to use the non-preemptive machine.  Resource
 governance (``docs/robustness.md``): ``--deadline`` / ``--memory-mb``
-attach a cooperative :class:`repro.robust.budget.Budget`; ``explore``
-additionally takes ``--checkpoint`` / ``--resume`` to persist and
-continue long BFS runs, and ``validate`` takes ``--degrade`` to walk the
-exhaustive → bounded → sampled ladder instead of stopping at a trip.
+attach a cooperative :class:`repro.robust.budget.Budget`, one clock for
+each command (a trip answers from the partial exploration, capped at
+BOUNDED); ``explore`` additionally takes ``--checkpoint`` / ``--resume``
+to persist and continue long BFS runs.
 
 Performance (``docs/performance.md``): the sweep commands — ``litmus``,
 ``validate``, ``races``, ``fuzz`` — accept ``--jobs N`` to fan
@@ -41,8 +41,8 @@ queue backpressure (429 + Retry-After) and graceful SIGTERM drain.
 Exit codes (the confidence contract of ``repro.robust.confidence``):
 0 = verdict holds and is PROVED (exhaustive), 1 = verdict fails,
 2 = usage/parse error, 3 = verdict holds but only BOUNDED (a budget or
-``--max-states`` cap was hit), 4 = verdict holds but only SAMPLED (the
-degradation ladder fell back to randomized runs) — a degraded run is
+``--max-states`` cap was hit), 4 = verdict holds but only SAMPLED
+(randomized runs, the service ladder's last rung) — a degraded run is
 never reported as a proof.  Code 4 is also raised for corrupt persisted
 state (a checkpoint failing its integrity digest): in both cases the
 evidence on hand cannot support the claim.
@@ -377,10 +377,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     """``validate`` — run an optimizer and translation-validate it.
 
-    With ``--degrade`` (and a ``--deadline`` / ``--memory-mb`` budget)
-    a budget trip walks the exhaustive → bounded → sampled ladder
-    instead of returning a truncated verdict; the exit code reports the
-    resulting confidence (0 PROVED, 3 BOUNDED, 4 SAMPLED).
+    A ``--deadline`` / ``--memory-mb`` budget covers the source and the
+    target exploration together; a trip answers from the partial graphs,
+    and the exit code reports the resulting confidence (0 PROVED,
+    3 BOUNDED).
 
     Accepts several files; with ``--jobs N`` they are validated in
     parallel and the exit code is the worst verdict across files.
@@ -389,7 +389,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     files = sorted(dict.fromkeys(args.file))
     options = {
         "opt": args.opt, "csimp": args.csimp, "strict": args.strict,
-        "no_wwrf": args.no_wwrf, "degrade": args.degrade, "rw": args.rw,
+        "no_wwrf": args.no_wwrf, "rw": args.rw,
         "static_tier": args.static_tier,
     }
     records = _run_file_sweep("validate", files, options, config, args, config.budget)
@@ -660,16 +660,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--static-tier", action="store_true",
                    help="tiered validation: run the static certifier "
                         "first (zero states on CERTIFIED), explore only "
-                        "on INCONCLUSIVE (incompatible with --degrade)")
+                        "on INCONCLUSIVE")
     p.add_argument("--show", action="store_true", help="print the transformed program")
     p.add_argument("--no-wwrf", action="store_true",
                    help="skip the ww-RF preservation check")
     p.add_argument("--strict", action="store_true",
                    help="reject malformed or crossing-illegal optimizer "
                         "output (StrictModeViolation)")
-    p.add_argument("--degrade", action="store_true",
-                   help="on a budget trip, degrade exhaustive → bounded → "
-                        "sampled instead of stopping (exit 3/4 by rung)")
     p.add_argument("--rw", action="store_true",
                    help="also run the tiered rw-race census on source and "
                         "target (informational: rw-races never fail "

@@ -1,11 +1,11 @@
 """The job layer: one way to run, key, and store a verification verdict.
 
 The CLI sweeps (``repro litmus`` / ``validate`` / ``races`` / ``fuzz``),
-:func:`repro.litmus.spec.run_spec_file`, and the service supervisor's
-exhaustive and bounded rungs all run per-program work through
-:func:`run_job` and keep its verdict in one
-:class:`~repro.serve.store.ContentStore` under one :func:`verdict_key`.
-A verdict earned on any of these paths answers all of them.
+:func:`repro.litmus.spec.run_spec_file`, and every rung of the service
+supervisor run per-program work through :func:`run_job` and keep its
+verdict in one :class:`~repro.serve.store.ContentStore` under one
+:func:`verdict_key`.  A verdict earned on any of these paths answers all
+of them.
 
 * :data:`OPTIMIZERS` / :func:`get_optimizer` — the optimizer registry
   (``--opt NAME`` on the CLI, ``"opt"`` in a service batch);
@@ -15,8 +15,19 @@ A verdict earned on any of these paths answers all of them.
   :func:`job_config`, the configuration a job runs under when its caller
   picks none (the service always; ``repro litmus`` always);
 * :func:`run_job` — one ``litmus`` / ``validate`` / ``races`` check to a
-  JSON-shaped record;
+  JSON-shaped record, on one rung of the :data:`LADDER`;
 * :func:`verdict_key` / :func:`cached_job` / :func:`remember` — the store.
+
+**The degradation ladder** (:data:`LADDER`) is the one way a job trades
+proof for an answer: ``exhaustive`` may earn ``PROVED``; ``bounded``
+reruns under the :data:`BOUNDED_MAX_STATES` cap (at best ``BOUNDED``);
+``sampled`` decides from :data:`SAMPLE_RUNS` randomized runs, or for a
+race check from the static analysis (at best ``SAMPLED``).  A job's
+budget is pinned when :func:`run_job` starts, so every exploration and
+every sampled run in it meters against what is left of one clock.  A
+rung that trips its budget answers from its partial work, capped at
+``BOUNDED``; only a rung that dies (the service's forked worker is
+killed or crashes) sends the job down to the next rung.
 
 **Only PROVED verdicts are stored** (:func:`remember`, the one place the
 rule lives).  A PROVED verdict is a statement about the program's whole
@@ -84,10 +95,31 @@ OPTION_DEFAULTS: Dict[str, Dict[str, Any]] = {
     "litmus": {"csimp": False},
     "validate": {
         "opt": "pipeline", "csimp": False, "no_wwrf": False, "strict": False,
-        "degrade": False, "static_tier": False, "rw": False, "equivalence": 0,
+        "static_tier": False, "rw": False, "equivalence": 0,
     },
     "races": {"csimp": False, "np": False, "static": False},
 }
+
+RUNG_EXHAUSTIVE = "exhaustive"
+RUNG_BOUNDED = "bounded"
+RUNG_SAMPLED = "sampled"
+
+#: The best confidence each rung of the ladder can earn.
+RUNG_CONFIDENCE = {
+    RUNG_EXHAUSTIVE: Confidence.PROVED,
+    RUNG_BOUNDED: Confidence.BOUNDED,
+    RUNG_SAMPLED: Confidence.SAMPLED,
+}
+
+#: The rungs in the order a job falls down them.
+LADDER = (RUNG_EXHAUSTIVE, RUNG_BOUNDED, RUNG_SAMPLED)
+
+#: The bounded rung's state cap.
+BOUNDED_MAX_STATES = 5_000
+
+#: The sampled rung's randomized runs, and the steps each may take.
+SAMPLE_RUNS = 32
+SAMPLE_MAX_STEPS = 500
 
 
 def get_optimizer(name: str) -> Optimizer:
@@ -229,20 +261,40 @@ def run_job(
     options: Mapping[str, Any],
     config: SemanticsConfig,
     optimizer: Optional[Optimizer] = None,
+    rung: str = RUNG_EXHAUSTIVE,
 ) -> Dict[str, Any]:
-    """Run one check to a JSON-shaped record (see the module docstring).
+    """Run one check on one ``rung`` of the :data:`LADDER` to a
+    JSON-shaped record (see the module docstring).
 
-    ``optimizer`` overrides the ``opt`` option's registry lookup for a
-    validate job (the fuzz campaign validates arbitrary passes); the key
-    still names it by ``opt``.  Parse errors propagate.
+    ``config.budget`` is pinned here, once per job.  ``optimizer``
+    overrides the ``opt`` option's registry lookup for a validate job
+    (the fuzz campaign validates arbitrary passes); the key still names
+    it by ``opt``.  Parse errors propagate.
     """
     options = job_options(kind, options)
+    if config.budget is not None:
+        config = replace(config, budget=config.budget.pinned())
+    if rung == RUNG_SAMPLED:
+        return _sampled(kind, source, options, config, optimizer)
+    if rung == RUNG_BOUNDED:
+        config = replace(config, max_states=min(config.max_states, BOUNDED_MAX_STATES))
     if kind == "litmus":
         return _litmus(source, options, config)
     program = load_source(source, options["csimp"])
     if kind == "validate":
         return _validate(program, options, config, optimizer)
     return _races(program, options, config)
+
+
+def _job_optimizer(options: Dict[str, Any], optimizer: Optional[Optimizer]) -> Optimizer:
+    """A validate job's pass: ``optimizer`` or the ``opt`` registry entry,
+    behind the strict gate when ``strict`` is set."""
+    optimizer = optimizer or get_optimizer(options["opt"])
+    if options["strict"]:
+        from repro.opt.base import strict_optimizer
+
+        optimizer = strict_optimizer(optimizer)
+    return optimizer
 
 
 def _litmus(source: str, options: Dict[str, Any], config: SemanticsConfig) -> Dict[str, Any]:
@@ -274,20 +326,9 @@ def _validate(
 ) -> Dict[str, Any]:
     from repro.sim.validate import TieredValidationReport, validate_optimizer, validate_tiered
 
-    optimizer = optimizer or get_optimizer(options["opt"])
-    if options["strict"]:
-        from repro.opt.base import strict_optimizer
-
-        optimizer = strict_optimizer(optimizer)
+    optimizer = _job_optimizer(options, optimizer)
     check_wwrf = not options["no_wwrf"]
-    if options["degrade"]:
-        from repro.robust.degrade import DegradationPolicy, validate_with_degradation
-
-        policy = DegradationPolicy(budget=config.budget)
-        report = validate_with_degradation(
-            optimizer, program, config, policy, check_target_wwrf=check_wwrf
-        )
-    elif options["static_tier"]:
+    if options["static_tier"]:
         report = validate_tiered(
             optimizer, program, config, check_target_wwrf=check_wwrf,
             report_rw=options["rw"],
@@ -311,11 +352,13 @@ def _validate(
         "cached": False,
     }
     if options["equivalence"] and record["definitive"] and record["ok"]:
-        _machine_equivalence(program, options["equivalence"], record)
+        _machine_equivalence(program, options["equivalence"], record, config.budget)
     return record
 
 
-def _machine_equivalence(program: Program, promises: int, record: Dict[str, Any]) -> None:
+def _machine_equivalence(
+    program: Program, promises: int, record: Dict[str, Any], budget
+) -> None:
     """Thm 4.1 spot check: both machines under ``promises`` promises per
     thread.  The non-preemptive machine realizes mid-block write
     visibility only by promising the block's writes up front (paper
@@ -324,7 +367,7 @@ def _machine_equivalence(program: Program, promises: int, record: Dict[str, Any]
     ``budget_miss``, not a failure."""
     from repro.semantics.exploration import behaviors, np_behaviors
 
-    config = semantics_config(promises=promises, por="dpor")
+    config = replace(semantics_config(promises=promises, por="dpor"), budget=budget)
     interleaving = behaviors(program, config)
     nonpreemptive = np_behaviors(program, config)
     done = interleaving.exhaustive and nonpreemptive.exhaustive
@@ -387,3 +430,108 @@ def _races(program: Program, options: Dict[str, Any], config: SemanticsConfig) -
         "explorations": explorations,
         "cached": False,
     }
+
+
+def _sampled(
+    kind: str,
+    source: str,
+    options: Dict[str, Any],
+    config: SemanticsConfig,
+    optimizer: Optional[Optimizer],
+) -> Dict[str, Any]:
+    """The last rung: randomized runs for litmus and validate jobs, the
+    static ww analysis for race checks."""
+    sampled = str(Confidence.SAMPLED)
+    if kind == "litmus":
+        from repro.litmus.spec import parse_spec, spec_failures
+
+        spec = parse_spec(source, structured=options["csimp"])
+        observed = frozenset(sampled_behaviors(spec.program, config).outputs())
+        failures = spec_failures(spec, observed)
+        detail = (
+            f"spec {'OK' if not failures else 'FAILED'} "
+            f"({len(observed)} outcomes, {RUNG_SAMPLED})"
+        )
+        if failures:
+            detail += ": " + "; ".join(failures)
+        return {"ok": not failures, "exhaustive": False, "confidence": sampled,
+                "detail": detail, "cached": False}
+    program = load_source(source, structured=options["csimp"])
+    if kind == "validate":
+        target = _job_optimizer(options, optimizer).run(program)
+        src = sampled_behaviors(program, config)
+        tgt = src if target == program else sampled_behaviors(target, config)
+        extra = tgt.traces - src.traces
+        return {
+            "ok": not extra,
+            "exhaustive": False,
+            "confidence": sampled,
+            "detail": (
+                f"sampled refinement ({len(tgt.traces)} target traces vs "
+                f"{len(src.traces)} source): "
+                + ("no new behaviors observed" if not extra
+                   else f"{len(extra)} unmatched target traces")
+            ),
+            "cached": False,
+        }
+    # Race checks: the static thread-modular analysis — sound and cheap,
+    # but incomplete.  An inconclusive verdict is *not* an answer;
+    # raising turns it into an unanswered job rather than a guess.
+    from repro.static import analyze_ww_races
+
+    report = analyze_ww_races(program)
+    if not report.race_free and report.witnesses:
+        witnesses = "; ".join(str(w) for w in report.witnesses)
+        return {"ok": False, "exhaustive": False, "confidence": sampled,
+                "detail": f"static ww-analysis: {witnesses}", "cached": False}
+    if not report.race_free:
+        raise RuntimeError("static race analysis inconclusive")
+    return {
+        "ok": True,
+        "exhaustive": False,
+        "confidence": sampled,
+        "detail": f"static ww-analysis: race-free "
+                  f"({report.checked_pairs} pairs checked)",
+        "cached": False,
+    }
+
+
+def sampled_behaviors(program: Program, config: SemanticsConfig):
+    """A :class:`~repro.semantics.exploration.BehaviorSet` built from
+    :data:`SAMPLE_RUNS` randomized executions.
+
+    Each run contributes its trace and every prefix of it.  The result
+    under-approximates the true set, is never ``exhaustive``, and
+    carries ``stop_reason="sampled"`` so no consumer can mistake it for
+    an exploration.  The runs meter against ``config.budget``, so the
+    last rung cannot become the new hang; at least one run always
+    completes.
+    """
+    from repro.robust.budget import BudgetExhausted
+    from repro.semantics.exploration import BehaviorSet
+    from repro.semantics.random_run import random_run
+
+    meter = config.budget.start() if config.budget is not None else None
+    traces = {()}
+    try:
+        for i in range(SAMPLE_RUNS):
+            if meter is not None and i > 0:
+                meter.tick()
+            result = random_run(program, config, seed=i, max_steps=SAMPLE_MAX_STEPS)
+            # Plain-int output labels, as the explorer records them.
+            trace = tuple(
+                item if isinstance(item, str) else int(item) for item in result.trace
+            )
+            for prefix_len in range(len(trace) + 1):
+                traces.add(trace[:prefix_len])
+    except BudgetExhausted:
+        pass
+    finally:
+        if meter is not None:
+            meter.close()
+    return BehaviorSet(
+        traces=frozenset(traces),
+        exhaustive=False,
+        state_count=0,
+        stop_reason=RUNG_SAMPLED,
+    )

@@ -9,7 +9,7 @@ deterministically.  :func:`run_sweep` is that shape, once:
 * ``jobs_n <= 1`` runs serially in-process (the default);
 * ``jobs_n > 1`` fans jobs across long-lived
   :class:`~repro.robust.isolation.ForkWorker` processes — the same
-  governed child the corpus drivers and the service supervisor use.
+  governed child the service supervisor uses.
 
 Determinism: the scheduler is *order-free* by construction.  Outcomes
 arrive in completion order and are sorted by job name, so serial and
@@ -26,16 +26,16 @@ replacement per job, so a sweep of poison programs still terminates.
 One murdered worker costs exactly one job.
 
 Budgets: a sweep-level :class:`~repro.robust.budget.Budget` deadline means
-wall clock *for the whole sweep*.  The parent computes the absolute
-monotonic deadline once; each worker, when it dequeues a job, re-derives
-the remaining time and runs the job under a child budget with exactly that
-much left (fork children share ``CLOCK_MONOTONIC``).  A job starting after
+wall clock *for the whole sweep*.  The sweep pins the budget's clock once
+when it starts (:meth:`~repro.robust.budget.Budget.pinned`) and hands
+every job that same budget, so each meters against what is left of the
+sweep (fork children share ``CLOCK_MONOTONIC``).  A job starting after
 the deadline fails fast with ``BudgetExhausted("deadline")`` instead of
 running unbounded.
 
 Failure isolation: a job that raises records a failed
 :class:`SweepOutcome` carrying the formatted error; one crashing program
-never takes down the sweep (mirroring ``robust/isolation.py``'s policy).
+never takes down the sweep.
 Job functions must be module-level callables — workers receive them over
 a pipe.
 """
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import time
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.robust import chaos
@@ -63,7 +63,7 @@ class SweepJob:
     ``name`` identifies the job in the report and fixes the deterministic
     output order (outcomes sort by name).  When the sweep runs under a
     budget, ``fn`` additionally receives a ``budget=`` keyword carrying
-    the per-worker remainder — budget-aware job functions must accept it.
+    the sweep's pinned budget — budget-aware job functions must accept it.
     """
 
     name: str
@@ -140,26 +140,21 @@ class SweepResult:
         )
 
 
-def _run_job(
-    job: SweepJob, deadline_at: Optional[float], budget: Optional[Budget]
-) -> SweepOutcome:
-    """Execute one job, deriving the per-job budget from the sweep deadline."""
+def _run_job(job: SweepJob, budget: Optional[Budget]) -> SweepOutcome:
+    """Execute one job under the sweep's pinned budget."""
     started = time.monotonic()
     kwargs = dict(job.kwargs)
     if budget is not None:
-        remaining = None
-        if deadline_at is not None:
-            remaining = deadline_at - started
-            if remaining <= 0:
-                return SweepOutcome(
-                    name=job.name,
-                    ok=False,
-                    error="budget exhausted: deadline (sweep deadline "
-                    "passed before the job started)",
-                    elapsed_seconds=0.0,
-                    stop_reason="deadline",
-                )
-        kwargs["budget"] = replace(budget, deadline_seconds=remaining)
+        if budget.expired():
+            return SweepOutcome(
+                name=job.name,
+                ok=False,
+                error="budget exhausted: deadline (sweep deadline "
+                "passed before the job started)",
+                elapsed_seconds=0.0,
+                stop_reason="deadline",
+            )
+        kwargs["budget"] = budget
     try:
         value = job.fn(*job.args, **kwargs)
         return SweepOutcome(
@@ -185,9 +180,7 @@ def _run_job(
         )
 
 
-def _worker_job(
-    job: SweepJob, deadline_at: Optional[float], budget: Optional[Budget]
-) -> SweepOutcome:
+def _worker_job(job: SweepJob, budget: Optional[Budget]) -> SweepOutcome:
     """Worker-side entry point for one job.
 
     The chaos fault point sits *before* the job runs, modeling a worker
@@ -195,7 +188,7 @@ def _worker_job(
     SIGKILL).
     """
     chaos.fault_point("pool.worker", job.name)
-    return _run_job(job, deadline_at, budget)
+    return _run_job(job, budget)
 
 
 def _crashed_outcome(job: SweepJob, detail: object) -> SweepOutcome:
@@ -210,7 +203,6 @@ def _crashed_outcome(job: SweepJob, detail: object) -> SweepOutcome:
 def _run_parallel(
     jobs: Sequence[SweepJob],
     jobs_n: int,
-    deadline_at: Optional[float],
     budget: Optional[Budget],
 ) -> Tuple[List[SweepOutcome], int]:
     """The supervised parallel path; returns (outcomes, worker_crashes)."""
@@ -223,7 +215,7 @@ def _run_parallel(
         while pending or busy:
             while idle and pending:
                 worker, job = idle.pop(), pending.pop(0)
-                worker.submit(_worker_job, (job, deadline_at, budget))
+                worker.submit(_worker_job, (job, budget))
                 busy[worker] = job
             for worker in ForkWorker.ready(list(busy)):
                 job = busy.pop(worker)
@@ -266,18 +258,17 @@ def run_sweep(
     if len(set(names)) != len(names):
         raise ValueError("sweep job names must be unique")
     started = time.monotonic()
-    deadline_at: Optional[float] = None
-    if budget is not None and budget.deadline_seconds is not None:
-        deadline_at = started + budget.deadline_seconds
+    if budget is not None:
+        budget = budget.pinned()
 
     jobs_n = max(1, jobs_n)
     crashes = 0
     outcomes: List[SweepOutcome]
     if jobs_n == 1 or len(jobs) <= 1:
-        outcomes = [_run_job(job, deadline_at, budget) for job in jobs]
+        outcomes = [_run_job(job, budget) for job in jobs]
         jobs_n = 1
     else:
-        outcomes, crashes = _run_parallel(jobs, jobs_n, deadline_at, budget)
+        outcomes, crashes = _run_parallel(jobs, jobs_n, budget)
 
     ordered = tuple(sorted(outcomes, key=lambda o: o.name))
     return SweepResult(

@@ -11,17 +11,14 @@ them:
   verdict-confidence taxonomy and the CLI exit-code contract;
 * :mod:`repro.robust.checkpoint` — serialize/resume BFS frontiers so
   long explorations survive interruption;
-* :mod:`repro.robust.degrade` — the degradation ladder
-  ``exhaustive → bounded → random-sampled`` (imported lazily: it sits
-  above :mod:`repro.sim`);
 * :mod:`repro.robust.isolation` — the governed fork worker behind the
-  parallel sweep, the corpus drivers and the service supervisor
-  (imported lazily, same reason).
+  parallel sweep and the service supervisor (imported lazily).
 
-Only the leaf modules (budget, confidence, checkpoint) are imported
-eagerly; ``degrade``/``isolation`` symbols resolve on first attribute
-access so that lower layers (``repro.semantics``) can import this
-package without a cycle.
+The degradation ladder itself lives in the job layer
+(:data:`repro.jobs.LADDER`).  Only the leaf modules (budget, confidence,
+checkpoint) are imported eagerly; the other symbols resolve on first
+attribute access so that lower layers (``repro.semantics``) can import
+this package without a cycle.
 """
 
 from repro.robust.budget import (
@@ -47,18 +44,7 @@ _LAZY = {
     "FaultRule": "repro.robust.chaos",
     "chaos_rules": "repro.robust.chaos",
     "fault_point": "repro.robust.chaos",
-    "DegradationPolicy": "repro.robust.degrade",
-    "DegradedBehaviors": "repro.robust.degrade",
-    "explore_with_degradation": "repro.robust.degrade",
-    "validate_with_degradation": "repro.robust.degrade",
-    "IsolationPolicy": "repro.robust.isolation",
-    "ProgramOutcome": "repro.robust.isolation",
-    "IsolatedResult": "repro.robust.isolation",
-    "run_isolated": "repro.robust.isolation",
     "ForkWorker": "repro.robust.isolation",
-    "run_batch_isolated": "repro.robust.isolation",
-    "isolated_validate_corpus": "repro.robust.isolation",
-    "isolated_fuzz_optimizer": "repro.robust.isolation",
 }
 
 

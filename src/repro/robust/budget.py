@@ -13,7 +13,10 @@ exploration is allowed to consume:
   ``sys.getsizeof`` estimate of the supplied sample object.
 
 A budget is inert until :meth:`Budget.start` creates a mutable
-:class:`BudgetMeter`.  Long-running loops call :meth:`BudgetMeter.tick`
+:class:`BudgetMeter`.  The deadline is a duration counted from when a
+meter starts, unless :meth:`Budget.pinned` fixed the instant it counts
+from: a job or a sweep pins its budget once when it starts, so every
+exploration inside it meters against what is left of one clock.  Long-running loops call :meth:`BudgetMeter.tick`
 at natural checkpoints (one explored state, one fixpoint iteration); the
 meter raises :class:`BudgetExhausted` the moment a resource runs out.
 Cancellation is *cooperative*: the loop unwinds cleanly, keeps its
@@ -30,7 +33,7 @@ from __future__ import annotations
 import sys
 import time
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 REASON_DEADLINE = "deadline"
@@ -61,7 +64,8 @@ class Budget:
     ``memory_check_interval`` ticks, preferring :mod:`tracemalloc` (the
     meter starts tracing on demand when ``trace_memory`` is set) and
     falling back to a ``sys.getsizeof`` estimate of the sample object
-    times the reported element count.
+    times the reported element count.  ``started_at`` is the monotonic
+    instant the deadline counts from (``None``: when a meter starts).
     """
 
     deadline_seconds: Optional[float] = None
@@ -69,6 +73,7 @@ class Budget:
     memory_mb: Optional[float] = None
     memory_check_interval: int = 64
     trace_memory: bool = True
+    started_at: Optional[float] = None
 
     @property
     def bounded(self) -> bool:
@@ -80,22 +85,26 @@ class Budget:
         )
 
     def start(self) -> "BudgetMeter":
-        """Begin metering against this budget (starts the clock now)."""
+        """Begin metering against this budget (the clock starts now
+        unless the budget is :meth:`pinned`)."""
         return BudgetMeter(self)
 
-    def shrink(self, factor: float = 0.5) -> "Budget":
-        """A strictly smaller budget — the retry-once-with-smaller-bounds
-        semantics of the fault-isolation layer."""
-        def scale(value, floor):
-            return None if value is None else max(floor, value * factor)
+    def pinned(self) -> "Budget":
+        """This budget with its clock started now, unless it already runs.
 
-        return Budget(
-            deadline_seconds=scale(self.deadline_seconds, 0.05),
-            max_states=None if self.max_states is None
-            else max(16, int(self.max_states * factor)),
-            memory_mb=scale(self.memory_mb, 1.0),
-            memory_check_interval=self.memory_check_interval,
-            trace_memory=self.trace_memory,
+        Every meter started from the result counts the deadline from the
+        one instant, so the explorations of one job (or the jobs of one
+        sweep) share the deadline instead of each getting it afresh.
+        """
+        if self.started_at is not None or self.deadline_seconds is None:
+            return self
+        return replace(self, started_at=time.monotonic())
+
+    def expired(self) -> bool:
+        """Whether a pinned deadline has already passed."""
+        return (
+            self.started_at is not None
+            and time.monotonic() - self.started_at >= self.deadline_seconds
         )
 
 
@@ -108,7 +117,9 @@ class BudgetMeter:
 
     def __init__(self, budget: Budget) -> None:
         self.budget = budget
-        self.started_at = time.monotonic()
+        self.started_at = (
+            time.monotonic() if budget.started_at is None else budget.started_at
+        )
         self.ticks = 0
         self.exhausted_reason: Optional[str] = None
         self._owns_tracing = False
@@ -120,7 +131,7 @@ class BudgetMeter:
     # -- sampling -----------------------------------------------------------
 
     def elapsed(self) -> float:
-        """Seconds of wall clock since :meth:`Budget.start` (monotonic)."""
+        """Seconds of wall clock since the clock started (monotonic)."""
         return time.monotonic() - self.started_at
 
     def memory_bytes(self, sample: object = None, count: int = 0) -> int:

@@ -1,27 +1,20 @@
-"""Governed fork workers and per-program fault isolation for batch drivers.
+"""The governed fork worker: one job per child, classified, never fatal.
 
-``validate_corpus`` / ``fuzz_optimizer`` sweep many generated programs
-through exhaustive exploration; one pathological input (a divergent BFS,
-a memory bomb, an interpreter crash) must not take the whole batch down.
-:func:`run_isolated` executes one task in a fresh :class:`ForkWorker`
-under a wall-clock timeout and an optional memory ceiling, and
-*classifies* whatever happens into a structured :class:`ProgramOutcome`:
+A pathological input (a divergent exploration, a memory bomb, an
+interpreter crash) must not take down the process that asked for it.
+:class:`ForkWorker` runs module-level jobs in a forked child under an
+optional memory ceiling and *classifies* whatever happens to each as a
+``(status, value)`` pair:
 
-* ``STATUS_OK``      — the task returned a value (shipped back pickled);
-* ``STATUS_TIMEOUT`` — the child outlived its deadline and was killed;
+* ``STATUS_OK``      — the job returned a value (shipped back pickled);
+* ``STATUS_TIMEOUT`` — the job outlived its timeout and the child was killed;
 * ``STATUS_OOM``     — the child hit its memory ceiling (``MemoryError``);
 * ``STATUS_CRASHED`` — the child died without reporting (segfault, kill);
-* ``STATUS_ERROR``   — the task raised an ordinary exception.
+* ``STATUS_ERROR``   — the job raised an ordinary exception.
 
-A failed task is retried **once** with smaller bounds when the policy
-says so and the task supplies a ``shrink`` hook (the corpus drivers
-attach a budget at ~40% of the retry deadline, so a hang degrades to an
-explicitly ``BOUNDED`` verdict on retry instead of timing out again).
-
-:func:`isolated_validate_corpus` / :func:`isolated_fuzz_optimizer` are
-the batch drivers: each seed/program runs in its own child, the batch
-always completes, and the aggregate confidence is the weakest surviving
-member's.
+It is the one fork primitive: the parallel sweep
+(:func:`repro.perf.pool.run_sweep`) keeps a few workers alive across
+many jobs, and the service supervisor forks a fresh one per attempt.
 """
 
 from __future__ import annotations
@@ -29,109 +22,14 @@ from __future__ import annotations
 import multiprocessing
 import resource
 import time
-from dataclasses import dataclass, replace
 from multiprocessing.connection import wait
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
-
-from repro.lang.syntax import Program
-from repro.litmus.generator import GeneratorConfig, random_wwrf_program
-from repro.robust.budget import Budget
-from repro.robust.confidence import Confidence
-from repro.semantics.thread import SemanticsConfig
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 STATUS_OK = "ok"
 STATUS_TIMEOUT = "timeout"
 STATUS_OOM = "oom"
 STATUS_CRASHED = "crashed"
 STATUS_ERROR = "error"
-
-
-@dataclass(frozen=True)
-class IsolationPolicy:
-    """Limits one isolated task runs under.
-
-    ``memory_mb`` caps what the child allocates, enforced two ways: by a
-    :mod:`tracemalloc` watchdog thread, which sees Python-level
-    allocation even when it recycles the free lists a forked child
-    inherits, and by a soft ``RLIMIT_AS`` backstop for allocation the
-    watchdog cannot see, set ``memory_mb`` plus a fixed slack above the
-    address space the child inherits (the slack lets the watchdog decide
-    first); ``None`` disables both.  ``retry`` enables the
-    retry-once-with-smaller-bounds semantics; the retry's deadline is the
-    original times ``shrink_factor``.
-    """
-
-    timeout_seconds: float = 60.0
-    memory_mb: Optional[float] = None
-    retry: bool = True
-    shrink_factor: float = 0.5
-
-    def shrink(self) -> "IsolationPolicy":
-        """The policy for the single retry (no further retries)."""
-        return replace(
-            self,
-            timeout_seconds=max(0.1, self.timeout_seconds * self.shrink_factor),
-            retry=False,
-        )
-
-
-@dataclass(frozen=True)
-class ProgramOutcome:
-    """What happened to one isolated task — crash, hang, OOM, or result.
-
-    ``result`` carries the task's (pickled-back) return value only for
-    ``STATUS_OK``; ``detail`` is the human-readable classification and
-    ``retried`` records whether this outcome came from the
-    smaller-bounds retry.
-    """
-
-    key: object
-    status: str
-    result: object = None
-    detail: str = ""
-    retried: bool = False
-    elapsed_seconds: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        """Whether the task produced a usable result."""
-        return self.status == STATUS_OK
-
-    def __str__(self) -> str:
-        suffix = " (after retry)" if self.retried else ""
-        body = self.detail or self.status
-        return f"[{self.key}] {self.status.upper()}{suffix}: {body}"
-
-
-@dataclass(frozen=True)
-class IsolatedResult:
-    """Aggregate of an isolated batch: per-task outcomes + summary.
-
-    ``outcomes`` preserves input order.  ``confidence`` is the weakest
-    confidence among successful members (failures are reported
-    separately and do not dilute it — they are not verdicts at all).
-    """
-
-    outcomes: Tuple[ProgramOutcome, ...]
-    confidence: Confidence = Confidence.PROVED
-
-    @property
-    def ok(self) -> bool:
-        """Whether every task completed with a usable result."""
-        return all(outcome.ok for outcome in self.outcomes)
-
-    @property
-    def failures(self) -> Tuple[ProgramOutcome, ...]:
-        """The isolated (crashed / hung / OOM / errored) members."""
-        return tuple(o for o in self.outcomes if not o.ok)
-
-    def __str__(self) -> str:
-        good = sum(1 for o in self.outcomes if o.ok)
-        return (
-            f"isolated batch: {good}/{len(self.outcomes)} ok, "
-            f"{len(self.failures)} isolated failures, "
-            f"confidence={self.confidence}"
-        )
 
 
 #: How often the child's memory watchdog samples traced allocation.
@@ -256,8 +154,7 @@ class ForkWorker:
     ``STATUS_CRASHED`` at once instead of hanging the caller.
 
     The parallel sweep keeps a few workers alive across many jobs; the
-    corpus drivers and the service supervisor use a fresh worker per
-    attempt (:meth:`run`).
+    service supervisor uses a fresh worker per attempt (:meth:`run`).
     """
 
     def __init__(self, memory_mb: Optional[float] = None) -> None:
@@ -342,233 +239,11 @@ class ForkWorker:
         self.conn.close()
 
 
-def run_isolated(
-    key,
-    fn: Callable,
-    args: Tuple = (),
-    kwargs: Optional[Dict] = None,
-    policy: IsolationPolicy = IsolationPolicy(),
-    shrink: Optional[Callable[[Tuple, Optional[Dict]], Tuple[Tuple, Optional[Dict]]]] = None,
-) -> ProgramOutcome:
-    """Run ``fn(*args, **kwargs)`` in a fresh governed child process.
-
-    On any non-``ok`` outcome, when ``policy.retry`` is set the task runs
-    exactly once more, in another fresh child, under
-    :meth:`IsolationPolicy.shrink`; a ``shrink`` hook may rewrite
-    ``(args, kwargs)`` for the retry (the corpus drivers use it to attach
-    a cooperative budget so a retried hang degrades to a ``BOUNDED``
-    verdict instead of timing out again).
-    """
-    retried = False
-    while True:
-        started = time.monotonic()
-        with ForkWorker(policy.memory_mb) as worker:
-            status, value = worker.run(fn, args, kwargs, policy.timeout_seconds)
-        ok = status == STATUS_OK
-        outcome = ProgramOutcome(
-            key, status,
-            result=value if ok else None,
-            detail="" if ok else str(value),
-            retried=retried,
-            elapsed_seconds=time.monotonic() - started,
-        )
-        if ok or not policy.retry:
-            return outcome
-        if shrink is not None:
-            args, kwargs = shrink(args, kwargs)
-        policy = policy.shrink()
-        retried = True
-
-
-def run_batch_isolated(
-    tasks: Sequence[Tuple[object, Callable, Tuple]],
-    policy: IsolationPolicy = IsolationPolicy(),
-    policy_overrides: Optional[Mapping[object, IsolationPolicy]] = None,
-    shrink: Optional[Callable] = None,
-) -> IsolatedResult:
-    """Run ``(key, fn, args)`` tasks each in its own child; never abort.
-
-    ``policy_overrides`` lets individual keys carry their own limits
-    (e.g. a known-heavy litmus family getting a longer deadline).
-    """
-    overrides = policy_overrides or {}
-    outcomes = [
-        run_isolated(
-            key, fn, args, policy=overrides.get(key, policy), shrink=shrink
-        )
-        for key, fn, args in tasks
-    ]
-    confidence = Confidence.weakest(
-        _result_confidence(o.result) for o in outcomes if o.ok
-    )
-    return IsolatedResult(tuple(outcomes), confidence)
-
-
-def _result_confidence(result: object) -> Optional[Confidence]:
-    """Pull a confidence off a task result when it carries one."""
-    value = getattr(result, "confidence", None)
-    return value if isinstance(value, Confidence) else None
-
-
-# -- corpus drivers -----------------------------------------------------------
-
-
-def _governed_config(
-    config: Optional[SemanticsConfig], policy: IsolationPolicy
-) -> SemanticsConfig:
-    """The retry config: a cooperative budget well inside the hard limits,
-    so the second attempt degrades to a ``BOUNDED`` verdict instead of
-    being killed like the first.
-
-    One validation runs up to four explorations (source/target behavior
-    sets and race checks), each with a build phase plus a salvage
-    fixpoint, so the per-exploration deadline is sized at a tenth of the
-    retry's wall-clock timeout.
-    """
-    config = config or SemanticsConfig()
-    retry_timeout = policy.timeout_seconds * policy.shrink_factor
-    deadline = max(0.05, retry_timeout / 10.0)
-    budget = Budget(
-        deadline_seconds=deadline,
-        memory_mb=None if policy.memory_mb is None else policy.memory_mb * 0.5,
-    )
-    return replace(config, max_states=min(config.max_states, 50_000), budget=budget)
-
-
-def _validate_one(optimizer, program, config, check_target_wwrf, static_tier):
-    """Child-side task: validate one program (module-level for spawn)."""
-    from repro.sim.validate import validate_optimizer
-
-    return validate_optimizer(
-        optimizer,
-        program,
-        config,
-        check_target_wwrf=check_target_wwrf,
-        static_tier=static_tier,
-    )
-
-
-def isolated_validate_corpus(
-    optimizer,
-    seeds: Sequence[int] = (),
-    generator_config: GeneratorConfig = GeneratorConfig(),
-    config: Optional[SemanticsConfig] = None,
-    policy: IsolationPolicy = IsolationPolicy(),
-    programs: Optional[Mapping[object, Program]] = None,
-    policy_overrides: Optional[Mapping[object, IsolationPolicy]] = None,
-    check_target_wwrf: bool = True,
-    static_tier: bool = True,
-) -> IsolatedResult:
-    """Fault-isolated counterpart of
-    :func:`repro.sim.validate.validate_corpus`.
-
-    Each generated seed — plus any explicitly supplied ``programs``
-    (label → :class:`Program`) — is validated in its own governed child.
-    A hang, crash, or OOM of one member becomes an isolated
-    :class:`ProgramOutcome` failure; every other member still gets its
-    correct verdict, and the batch-level ``confidence`` is the weakest
-    among the survivors.
-    """
-    entries: List[Tuple[object, Program]] = [
-        (seed, random_wwrf_program(seed, generator_config)) for seed in seeds
-    ]
-    entries += list((programs or {}).items())
-    tasks = [
-        (key, _validate_one, (optimizer, program, config, check_target_wwrf, static_tier))
-        for key, program in entries
-    ]
-
-    def shrink(args, kwargs):
-        opt, program, cfg, wwrf, tier = args
-        return (opt, program, _governed_config(cfg, policy), wwrf, tier), kwargs
-
-    return run_batch_isolated(
-        tasks, policy, policy_overrides=policy_overrides, shrink=shrink
-    )
-
-
-def _fuzz_one(optimizer, seed, generator_config, config, check_wwrf):
-    """Child-side task: generate-and-validate one fuzz seed."""
-    program = random_wwrf_program(seed, generator_config)
-    return _validate_one(optimizer, program, config, check_wwrf, True)
-
-
-def isolated_fuzz_optimizer(
-    optimizer,
-    seeds: Sequence[int],
-    generator_config: GeneratorConfig = GeneratorConfig(),
-    config: Optional[SemanticsConfig] = None,
-    policy: IsolationPolicy = IsolationPolicy(),
-    check_wwrf: bool = True,
-):
-    """Fault-isolated counterpart of :func:`repro.fuzz.fuzz_optimizer`.
-
-    Returns ``(FuzzReport, IsolatedResult)``: the familiar campaign
-    report aggregated over the seeds that produced verdicts, alongside
-    the per-seed outcomes (isolated failures appear in the latter, as
-    failures of the harness rather than counterexamples to the theorem).
-    """
-    from repro.fuzz import FuzzFailure, FuzzReport
-    from repro.lang.printer import format_program
-
-    started = time.monotonic()
-    tasks = [
-        (seed, _fuzz_one, (optimizer, seed, generator_config, config, check_wwrf))
-        for seed in seeds
-    ]
-
-    def shrink(args, kwargs):
-        opt, seed, gen, cfg, wwrf = args
-        return (opt, seed, gen, _governed_config(cfg, policy), wwrf), kwargs
-
-    batch = run_batch_isolated(tasks, policy, shrink=shrink)
-
-    transformed = 0
-    skipped = 0
-    confidence = Confidence.PROVED
-    failures: List[FuzzFailure] = []
-    for outcome in batch.outcomes:
-        if not outcome.ok:
-            skipped += 1
-            confidence = Confidence.weakest((confidence, Confidence.BOUNDED))
-            continue
-        report = outcome.result
-        if report.changed:
-            transformed += 1
-        confidence = Confidence.weakest((confidence, report.confidence))
-        if not report.refinement.definitive:
-            skipped += 1
-            continue
-        if not report.ok:
-            program = random_wwrf_program(outcome.key, generator_config)
-            failures.append(
-                FuzzFailure(outcome.key, str(report), format_program(program))
-            )
-    report = FuzzReport(
-        optimizer.name,
-        len(tasks),
-        transformed,
-        skipped,
-        tuple(failures),
-        time.monotonic() - started,
-        0,
-        confidence,
-    )
-    return report, batch
-
-
 __all__ = [
     "STATUS_OK",
     "STATUS_TIMEOUT",
     "STATUS_OOM",
     "STATUS_CRASHED",
     "STATUS_ERROR",
-    "IsolationPolicy",
-    "ProgramOutcome",
-    "IsolatedResult",
     "ForkWorker",
-    "run_isolated",
-    "run_batch_isolated",
-    "isolated_validate_corpus",
-    "isolated_fuzz_optimizer",
 ]

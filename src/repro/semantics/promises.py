@@ -28,8 +28,9 @@ reference.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Set, Tuple
 
 from repro.lang.syntax import (
     AccessMode,
@@ -97,10 +98,28 @@ def _reachable_functions(program: Program, entry: str) -> FrozenSet[str]:
     return frozenset(seen)
 
 
+#: :func:`syntactic_write_candidates` per program, then per entry.  Keyed
+#: by identity: ``Program`` caches no hash, and hashing a whole program on
+#: every lookup would cost about as much as the walk it saves.  An entry
+#: is dropped when its program is collected.
+_CANDIDATES: Dict[int, Dict[str, Tuple[Tuple[str, Int32], ...]]] = {}
+
+
 def syntactic_write_candidates(program: Program, entry: str) -> Tuple[Tuple[str, Int32], ...]:
     """All ``(loc, const-value)`` pairs from promisable writes reachable from
     ``entry``: stores and CAS writes in mode ``na``/``rlx`` whose written
-    expression is a literal constant."""
+    expression is a literal constant.  Walked once per (program, entry)."""
+    memo = _CANDIDATES.get(id(program))
+    if memo is None:
+        memo = _CANDIDATES[id(program)] = {}
+        weakref.finalize(program, _CANDIDATES.pop, id(program), None)
+    pairs = memo.get(entry)
+    if pairs is None:
+        pairs = memo[entry] = _write_candidates(program, entry)
+    return pairs
+
+
+def _write_candidates(program: Program, entry: str) -> Tuple[Tuple[str, Int32], ...]:
     pairs: Set[Tuple[str, Int32]] = set()
     for func in _reachable_functions(program, entry):
         for instr in program.function(func).instructions():
@@ -141,6 +160,8 @@ class SyntacticPromises(PromiseOracle):
             return ()
         # Future writes may come from the current function (and its callees)
         # or from the continuations of pending callers on the stack.
+        if not ts.local.stack:
+            return syntactic_write_candidates(program, ts.local.func)
         pairs: Set[Tuple[str, Int32]] = set()
         for func in {ts.local.func} | {frame_func for frame_func, _ in ts.local.stack}:
             pairs.update(syntactic_write_candidates(program, func))

@@ -14,12 +14,14 @@ answer can never overclaim its confidence:
   :class:`~repro.robust.retry.RetryPolicy` (exponential backoff with
   deterministic jitter), each retry one rung further down the
   degradation ladder.
-* **Degradation ladder** — attempt 1 is exhaustive (may earn
-  ``PROVED``); attempt 2 reruns under a state cap (capped at
-  ``BOUNDED``); attempt 3 falls back to randomized sampling or, for
-  race checks, the sound-but-incomplete static analysis (capped at
-  ``SAMPLED``).  The cap is enforced *here*, on the parent side, so no
-  child bug can smuggle a ``PROVED`` out of a degraded rung.
+* **Degradation ladder** — the rungs of :data:`repro.jobs.LADDER`, one
+  per attempt: exhaustive (may earn ``PROVED``), bounded (at best
+  ``BOUNDED``), sampled (at best ``SAMPLED``).  Each attempt's child
+  runs :func:`repro.jobs.run_job` on its rung under a cooperative budget
+  inside the hard timeout, so a rung that trips its budget answers from
+  its partial work; only a child that dies falls to the next rung.  The
+  cap is enforced *here*, on the parent side, so no child bug can
+  smuggle a ``PROVED`` out of a degraded rung.
 * **Poison quarantine** — a job whose workers die ``quarantine_after``
   times (crash/OOM, not mere timeouts) is quarantined by content key:
   further submissions of the same program are refused immediately
@@ -39,29 +41,20 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.jobs import (
     JOB_KINDS,
-    get_optimizer,
+    LADDER,
+    RUNG_CONFIDENCE,
+    RUNG_EXHAUSTIVE,
     job_config,
-    job_options,
-    load_source,
     remember,
     run_job,
     verdict_key,
 )
 from repro.robust.budget import Budget
 from repro.robust.confidence import Confidence
-from repro.robust.degrade import (
-    RUNG_BOUNDED,
-    RUNG_CONFIDENCE,
-    RUNG_EXHAUSTIVE,
-    RUNG_SAMPLED,
-)
 from repro.robust.isolation import STATUS_CRASHED, STATUS_OK, STATUS_OOM, ForkWorker
 from repro.robust.retry import RetryPolicy
 from repro.semantics.thread import SemanticsConfig
 from repro.serve.store import ContentStore
-
-#: The ladder walked across attempts: one rung per retry.
-LADDER = (RUNG_EXHAUSTIVE, RUNG_BOUNDED, RUNG_SAMPLED)
 
 
 @dataclass(frozen=True)
@@ -163,9 +156,6 @@ class SupervisorConfig:
     memory_mb: Optional[float] = None
     retry: RetryPolicy = RetryPolicy(max_attempts=3, base_delay_seconds=0.05)
     quarantine_after: int = 3
-    bounded_max_states: int = 5_000
-    sample_runs: int = 32
-    sample_max_steps: int = 500
 
 
 class Supervisor:
@@ -278,9 +268,7 @@ class Supervisor:
                     _execute_job,
                     (
                         spec.kind, spec.source, dict(spec.options), config, rung,
-                        self.config.bounded_max_states, self.config.sample_runs,
-                        self.config.sample_max_steps, attempt_deadline,
-                        spec.name,
+                        attempt_deadline, spec.name,
                     ),
                     timeout=attempt_deadline,
                 )
@@ -378,9 +366,6 @@ def _execute_job(
     options: Dict[str, Any],
     config: SemanticsConfig,
     rung: str,
-    bounded_max_states: int,
-    sample_runs: int,
-    sample_max_steps: int,
     deadline_seconds: float,
     name: str = "",
 ) -> Dict[str, Any]:
@@ -391,85 +376,11 @@ def _execute_job(
     # what lets chaos rules target (say) only the exhaustive attempt
     # deterministically across those processes.
     chaos.fault_point("supervisor.job", f"{name or kind}:{rung}")
-    # A cooperative budget well inside the hard kill timeout, so rungs
-    # that trip it return a truncated-but-classifiable verdict instead
-    # of being SIGTERMed from outside.
+    # A cooperative budget well inside the hard kill timeout, so a rung
+    # that trips it answers from its partial work instead of being
+    # killed from outside.
     budget = Budget(deadline_seconds=max(0.05, deadline_seconds * 0.8))
-    if rung == RUNG_SAMPLED:
-        return _execute_sampled(
-            kind, source, job_options(kind, options), config, budget,
-            sample_runs, sample_max_steps,
-        )
-    config = replace(config, budget=budget)
-    if rung == RUNG_BOUNDED:
-        config = replace(config, max_states=min(config.max_states, bounded_max_states))
-    return run_job(kind, source, options, config)
-
-
-def _execute_sampled(
-    kind, source, options, config, budget, sample_runs, sample_max_steps
-) -> Dict[str, Any]:
-    """The last rung (service only): randomized runs for litmus and
-    validate jobs, the static ww analysis for race checks."""
-    from repro.robust.degrade import sampled_behaviors
-
-    def sample(program, semantics):
-        return sampled_behaviors(
-            program, semantics, runs=sample_runs, max_steps=sample_max_steps,
-            deadline_seconds=budget.deadline_seconds,
-        )
-
-    sampled = str(Confidence.SAMPLED)
-    if kind == "litmus":
-        from repro.litmus.spec import parse_spec, spec_failures
-
-        spec = parse_spec(source, structured=options["csimp"])
-        observed = frozenset(sample(spec.program, config).outputs())
-        failures = spec_failures(spec, observed)
-        detail = (
-            f"spec {'OK' if not failures else 'FAILED'} "
-            f"({len(observed)} outcomes, {RUNG_SAMPLED})"
-        )
-        if failures:
-            detail += ": " + "; ".join(failures)
-        return {"ok": not failures, "exhaustive": False, "confidence": sampled,
-                "detail": detail}
-    program = load_source(source, structured=options["csimp"])
-    if kind == "validate":
-        target = get_optimizer(options["opt"]).run(program)
-        src = sample(program, None)
-        tgt = src if target == program else sample(target, None)
-        extra = tgt.traces - src.traces
-        return {
-            "ok": not extra,
-            "exhaustive": False,
-            "confidence": sampled,
-            "detail": (
-                f"sampled refinement ({len(tgt.traces)} target traces vs "
-                f"{len(src.traces)} source): "
-                + ("no new behaviors observed" if not extra
-                   else f"{len(extra)} unmatched target traces")
-            ),
-        }
-    # Race checks: the static thread-modular analysis — sound and cheap,
-    # but incomplete.  An inconclusive verdict is *not* an answer;
-    # raising turns it into an unanswered job rather than a guess.
-    from repro.static import analyze_ww_races
-
-    report = analyze_ww_races(program)
-    if not report.race_free and report.witnesses:
-        witnesses = "; ".join(str(w) for w in report.witnesses)
-        return {"ok": False, "exhaustive": False, "confidence": sampled,
-                "detail": f"static ww-analysis: {witnesses}"}
-    if not report.race_free:
-        raise RuntimeError("static race analysis inconclusive")
-    return {
-        "ok": True,
-        "exhaustive": False,
-        "confidence": sampled,
-        "detail": f"static ww-analysis: race-free "
-                  f"({report.checked_pairs} pairs checked)",
-    }
+    return run_job(kind, source, options, replace(config, budget=budget), rung=rung)
 
 
 __all__ = [

@@ -482,10 +482,11 @@ def validate_corpus(
     :func:`repro.perf.pool.run_sweep`; aggregation is seed-ordered, so
     the result is identical at any parallelism level.
 
-    For fault isolation against pathological programs (hangs, memory
-    bombs) use :func:`repro.robust.isolation.isolated_validate_corpus`,
-    which runs each seed in a governed subprocess and keeps the batch
-    alive through individual crashes.
+    Against pathological programs: with ``jobs > 1`` a seed whose
+    worker dies (crash, OOM kill) costs only its own verdict, and a
+    ``config.budget`` turns a hang into a truncated ``BOUNDED`` verdict.
+    The service (:mod:`repro.serve.supervisor`) adds per-attempt
+    timeouts and the degradation ladder of :mod:`repro.jobs`.
     """
     from repro.perf.pool import SweepJob, run_sweep
 

@@ -59,19 +59,18 @@ class TestBudgetMeter:
         meter.close()
         meter.close()
 
-    def test_shrink_halves_and_floors(self):
-        budget = Budget(deadline_seconds=10.0, max_states=1000, memory_mb=100.0)
-        small = budget.shrink()
-        assert small.deadline_seconds == pytest.approx(5.0)
-        assert small.max_states == 500
-        assert small.memory_mb == pytest.approx(50.0)
-        tiny = Budget(deadline_seconds=0.01, max_states=2, memory_mb=0.1).shrink()
-        assert tiny.deadline_seconds >= 0.05
-        assert tiny.max_states >= 16
-        assert tiny.memory_mb >= 1.0
-
-    def test_shrink_of_unbounded_stays_unbounded(self):
-        assert Budget().shrink() == Budget()
+    def test_pinned_meters_share_one_clock(self):
+        """A pinned budget's meters count from the pinning instant, not
+        from their own start: the second exploration of a job gets what
+        the first left, not a fresh deadline."""
+        budget = Budget(deadline_seconds=0.05).pinned()
+        assert budget.pinned() is budget  # pinning twice keeps the instant
+        time.sleep(0.06)
+        assert budget.expired()
+        with pytest.raises(BudgetExhausted) as info:
+            budget.start().tick()
+        assert info.value.reason == REASON_DEADLINE
+        assert not Budget(deadline_seconds=0.05).expired()  # unpinned: not yet running
 
 
 class TestGovernedExploration:

@@ -1,11 +1,13 @@
 """CLI surface of the resource-governance features: ``--deadline`` /
-``--memory-mb``, ``explore --checkpoint/--resume``, ``validate
---degrade``, ``fuzz --replay``, and the exit-code contract (0 PROVED,
-1 FAILED, 2 usage, 3 BOUNDED, 4 SAMPLED; corrupt persisted state —
-a checkpoint failing its integrity digest — also exits 4, the
-weakest-evidence code, with a clear message on stderr)."""
+``--memory-mb`` (one clock per command: a trip answers BOUNDED from the
+partial exploration), ``explore --checkpoint/--resume``, ``fuzz
+--replay``, and the exit-code contract (0 PROVED, 1 FAILED, 2 usage,
+3 BOUNDED, 4 SAMPLED; corrupt persisted state — a checkpoint failing its
+integrity digest — also exits 4, the weakest-evidence code, with a clear
+message on stderr)."""
 
 import re
+import time
 
 import pytest
 
@@ -14,7 +16,6 @@ from repro.robust.confidence import (
     EXIT_BOUNDED,
     EXIT_CORRUPT,
     EXIT_PROVED,
-    EXIT_SAMPLED,
 )
 
 DIVERGENT = """
@@ -30,6 +31,12 @@ loop:
 }
 threads spin;
 """
+
+#: DIVERGENT behind two assignments constprop rewrites, so validating it
+#: explores two programs.
+DIVERGENT_CHANGED = DIVERGENT.replace(
+    "entry:\n", "entry:\n    a := 2;\n    b := a * 3;\n    print(b);\n"
+)
 
 OPTIMIZABLE = """
 fn t1 {
@@ -141,19 +148,34 @@ class TestGovernedVerdicts:
         assert "not proved" in capsys.readouterr().out
 
     def test_validate_degrades_instead_of_truncating(self, divergent_file, capsys):
-        code = main(
-            ["validate", divergent_file, "--opt", "constprop", "--degrade",
-             "--deadline", "0.5"]
-        )
-        assert code in (EXIT_BOUNDED, EXIT_SAMPLED)
+        """A budget trip degrades the verdict to BOUNDED, answered from
+        the partial exploration: never rerun, never sampled."""
+        code = main(["validate", divergent_file, "--opt", "constprop",
+                     "--deadline", "0.5"])
+        assert code == EXIT_BOUNDED
         out = capsys.readouterr().out
         assert "confidence=" in out
         assert "not a proof" in out
 
+    def test_two_explorations_share_the_clock(self, tmp_path, capsys):
+        """Source and target of one validation meter against one
+        deadline: the target starts with what the source left, so the
+        whole command takes one deadline plus the salvage, where a clock
+        per exploration takes at least two deadlines."""
+        path = tmp_path / "changed.rtl"
+        path.write_text(DIVERGENT_CHANGED)
+        deadline = 1.0
+        started = time.monotonic()
+        code = main(["validate", str(path), "--opt", "constprop",
+                     "--deadline", str(deadline)])
+        elapsed = time.monotonic() - started
+        assert code == EXIT_BOUNDED
+        assert "not a proof" in capsys.readouterr().out
+        assert elapsed < 2 * deadline
+
     def test_validate_finite_program_is_proof(self, opt_file, capsys):
         code = main(
-            ["validate", opt_file, "--opt", "constprop", "--degrade",
-             "--deadline", "30"]
+            ["validate", opt_file, "--opt", "constprop", "--deadline", "30"]
         )
         assert code == EXIT_PROVED
         assert "[OK]" in capsys.readouterr().out

@@ -14,8 +14,9 @@ rung-qualified key ``"<name>:<rung>"`` that ``supervisor.job`` passes.
 
 import pytest
 
+from repro import jobs
+from repro.jobs import RUNG_BOUNDED, RUNG_EXHAUSTIVE, RUNG_SAMPLED
 from repro.robust.chaos import FaultRule, chaos_rules
-from repro.robust.degrade import RUNG_BOUNDED, RUNG_EXHAUSTIVE, RUNG_SAMPLED
 from repro.robust.retry import RetryPolicy
 from repro.serve.store import ContentStore
 from repro.serve.supervisor import (
@@ -44,6 +45,25 @@ entry:
     return;
 }
 threads t1;
+"""
+
+#: A spin loop whose exploration never ends, behind two assignments
+#: constprop rewrites: validating it explores source and target.
+DIVERGENT_CHANGED = """
+atomics x;
+fn spin {
+entry:
+    a := 2;
+    b := a * 3;
+    print(b);
+    jmp loop;
+loop:
+    r := x.rlx;
+    x.rlx := r + 1;
+    print(r);
+    jmp loop;
+}
+threads spin;
 """
 
 FAST = SupervisorConfig(
@@ -171,23 +191,39 @@ class TestDegradation:
         # not replay BOUNDED evidence as if it were a proof.
         assert store.get(spec().content_key()) is None
 
-    def test_truncated_bounded_rung_judges_the_clauses_alone(self):
+    def test_truncated_bounded_rung_judges_the_clauses_alone(self, monkeypatch):
         """Unlike ``repro litmus`` (where a truncated run fails the spec),
         the service answers a truncated bounded rung by its clauses,
         capped at BOUNDED."""
-        capped = SupervisorConfig(
-            job_deadline_seconds=15.0,
-            retry=RetryPolicy(max_attempts=3, base_delay_seconds=0.01),
-            bounded_max_states=3,
-        )
+        # The forked attempt inherits the patched cap.
+        monkeypatch.setattr(jobs, "BOUNDED_MAX_STATES", 3)
         only_forbidden = SB.replace("//! exists (0, 0)\n", "")
         with chaos_rules(
             FaultRule("supervisor.job", kind="kill", key="t:exhaustive")
         ):
-            result = Supervisor(config=capped).run_job(spec(source=only_forbidden))
+            result = Supervisor(config=FAST).run_job(spec(source=only_forbidden))
         assert result.ok is True
         assert (result.rung, result.confidence) == (RUNG_BOUNDED, "BOUNDED")
         assert "spec OK" in result.detail
+
+    def test_tripped_rung_answers_from_its_partial_work(self):
+        """A rung that trips its budget is not killed and rerun: it
+        answers BOUNDED from its partial graphs.  Source and target
+        explorations share the attempt's one clock, so both fit inside
+        the hard timeout."""
+        config = SupervisorConfig(
+            job_deadline_seconds=2.0,
+            retry=RetryPolicy(max_attempts=3, base_delay_seconds=0.01),
+        )
+        supervisor = Supervisor(config=config)
+        result = supervisor.run_job(
+            spec(kind="validate", source=DIVERGENT_CHANGED, opt="constprop")
+        )
+        assert result.ok is True
+        assert result.rung == RUNG_EXHAUSTIVE
+        assert result.confidence == "BOUNDED"
+        assert result.attempts == ((RUNG_EXHAUSTIVE, "ok"),)
+        assert supervisor.stats()["explorations"] == 2
 
     def test_two_dead_rungs_fall_to_sampled(self):
         with chaos_rules(
@@ -198,6 +234,22 @@ class TestDegradation:
         assert result.ok is True
         assert result.rung == RUNG_SAMPLED
         assert result.confidence == "SAMPLED"
+
+    def test_sampled_rung_runs_the_jobs_own_pass(self):
+        """The last rung validates with the job's optimizer behind the
+        strict gate, under the job's config."""
+        with chaos_rules(
+            FaultRule("supervisor.job", kind="kill", key="t:exhaustive"),
+            FaultRule("supervisor.job", kind="kill", key="t:bounded"),
+        ):
+            result = Supervisor(config=FAST).run_job(
+                spec(kind="validate", source=STRAIGHTLINE, opt="constprop",
+                     strict=True)
+            )
+        assert (result.ok, result.rung, result.confidence) == (
+            True, RUNG_SAMPLED, "SAMPLED",
+        )
+        assert "sampled refinement" in result.detail
 
     def test_oom_counts_as_a_worker_death(self):
         supervisor = Supervisor(config=FAST)

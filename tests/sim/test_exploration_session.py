@@ -6,9 +6,13 @@ A validation asks for race scans and behavior sets of the same programs;
 its soundness: every verdict agrees with independent ``por="none"`` runs.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.jobs import run_job
 from repro.lang.builder import straightline_program
+from repro.lang.printer import format_program
 from repro.lang.syntax import AccessMode, Const, Load, Print, Reg, Store
 from repro.litmus.generator import GeneratorConfig, random_wwrf_program
 from repro.litmus.library import LITMUS_SUITE
@@ -21,7 +25,6 @@ from repro.opt.merge import Merge
 from repro.opt.unsound import NaiveDCE, RedundantWriteIntroduction, UnsoundWaWMerge
 from repro.races import check_races_tiered, rw_races, ww_rf
 from repro.robust.budget import Budget
-from repro.robust.degrade import DegradationPolicy, validate_with_degradation
 from repro.semantics.exploration import ExplorationSession, behaviors, np_behaviors
 from repro.semantics.thread import SemanticsConfig
 from repro.sim.refinement import check_equivalence, check_refinement
@@ -168,21 +171,17 @@ class TestValidation:
         validate_tiered(Counting(), program, DPOR)
         assert Counting.runs == 1
 
-    def test_degraded_unchanged_target_reuses_source(self, monkeypatch):
-        import repro.robust.degrade as degrade
-
-        explored = []
-        original = degrade.explore_with_degradation
-
-        def counting(program, config, policy):
-            explored.append(program)
-            return original(program, config, policy)
-
-        monkeypatch.setattr(degrade, "explore_with_degradation", counting)
-        policy = DegradationPolicy(budget=Budget(max_states=3))
-        report = validate_with_degradation(identity_optimizer(), racy(), DPOR, policy)
-        assert not report.exhaustive
-        assert len(explored) == 1
+    def test_degraded_unchanged_target_reuses_source(self):
+        """A validation job cut short by its budget answers BOUNDED from
+        the partial graph: an unchanged target reuses the source's, and
+        nothing is explored again."""
+        config = replace(DPOR, budget=Budget(max_states=3))
+        record = run_job(
+            "validate", format_program(racy()), {}, config, identity_optimizer()
+        )
+        assert not record["exhaustive"]
+        assert record["confidence"] == "BOUNDED"
+        assert record["explorations"] == 1
 
 
 SUBJECTS = {name: test.program for name, test in LITMUS_SUITE.items()}
