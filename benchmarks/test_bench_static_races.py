@@ -2,7 +2,9 @@
 
 The point of the static tier is to discharge race-freedom *without*
 exploring interleavings.  This experiment replays (a) the litmus library
-and (b) a 50-seed generated corpus through both checkers and reports:
+and (b) a 50-seed generated corpus through the race ladder
+(:func:`repro.races.check_races_tiered`, its ww verdict) and the purely
+exhaustive checker, and reports:
 
 * soundness — no program is statically RACE_FREE yet exhaustively racy
   (the hard correctness obligation; also property-tested in
@@ -18,7 +20,7 @@ import time
 from benchmarks.conftest import report
 from repro.litmus.generator import GeneratorConfig, random_wwrf_program
 from repro.litmus.library import LITMUS_SUITE
-from repro.races.tiered import ww_rf_tiered
+from repro.races.tiered import check_races_tiered
 from repro.races.wwrf import ww_rf
 
 CORPUS_SEEDS = range(50)
@@ -37,7 +39,7 @@ def test_static_tier_discharge_rate(benchmark):
     programs = _corpus()
 
     def tiered_sweep():
-        return [(name, ww_rf_tiered(program)) for name, program in programs]
+        return [(name, check_races_tiered(program).ww) for name, program in programs]
 
     tiered = benchmark.pedantic(tiered_sweep, rounds=1, iterations=1)
 
@@ -80,6 +82,6 @@ def test_static_tier_verdict_agreement():
     """On every fallback the tiered verdict must equal the exhaustive one
     (the fallback *is* the exhaustive checker)."""
     for name, program in _corpus():
-        tiered = ww_rf_tiered(program)
+        tiered = check_races_tiered(program).ww
         exhaustive = ww_rf(program)
         assert tiered.race_free == exhaustive.race_free, name

@@ -1,6 +1,7 @@
 """E-STATIC-RW: the static rw tier vs. the exhaustive rw census.
 
-The rw rung of the three-tier ladder must pull its weight: most of a
+The rw rung of the race ladder (:func:`repro.races.check_races_tiered`,
+its rw census) must pull its weight: most of a
 realistic corpus should be discharged without a single machine state.
 Corpus: the litmus library plus two generated batches — 25 seeds under
 the ``owned_reads_only`` discipline (rw-race-free by construction, the
@@ -23,7 +24,7 @@ from benchmarks.conftest import report
 from repro.litmus.generator import GeneratorConfig, random_wwrf_program
 from repro.litmus.library import LITMUS_SUITE
 from repro.races.rwrace import rw_races
-from repro.races.tiered import rw_races_tiered
+from repro.races.tiered import check_races_tiered
 
 OWNED_SEEDS = range(25)
 DEFAULT_SEEDS = range(25)
@@ -47,7 +48,7 @@ def test_static_rw_tier_discharge_rate(benchmark):
 
     def tiered_sweep():
         start = time.perf_counter()
-        results = [(name, rw_races_tiered(program)[0]) for name, program in programs]
+        results = [(name, check_races_tiered(program).rw) for name, program in programs]
         return results, time.perf_counter() - start
 
     tiered, tiered_secs = benchmark.pedantic(tiered_sweep, rounds=1, iterations=1)
@@ -102,7 +103,7 @@ def test_tier_ladder_agreement():
     census (the fallback *is* the exhaustive detector); on static
     discharges the census must agree there is no race."""
     for name, program in _corpus():
-        tiered, _static = rw_races_tiered(program)
+        tiered = check_races_tiered(program).rw
         witnesses = rw_races(program)
         assert tiered.race_free == (not witnesses), name
         if tiered.method == "static":

@@ -12,13 +12,16 @@ Commands:
 * ``fmt FILE``      — parse and pretty-print;
 * ``serve``         — run the verification service daemon (HTTP/JSON).
 
-All commands accept ``--promises N`` to enable a syntactic promise oracle
-with budget N, and ``--np`` to use the non-preemptive machine.  Resource
-governance (``docs/robustness.md``): ``--deadline`` / ``--memory-mb``
-attach a cooperative :class:`repro.robust.budget.Budget`, one clock for
-each command (a trip answers from the partial exploration, capped at
-BOUNDED); ``explore`` additionally takes ``--checkpoint`` / ``--resume``
-to persist and continue long BFS runs.
+Each command registers only the flags its handler reads (``docs/cli.md``
+has the table).  ``--promises N`` enables a syntactic promise oracle with
+budget N (``explore``, ``races``, ``validate``, ``run``, ``witness``),
+and ``--np`` selects the non-preemptive machine (``explore``, ``races``,
+``run``, ``witness``).  Resource governance (``docs/robustness.md``):
+``--deadline`` / ``--memory-mb`` attach a cooperative
+:class:`repro.robust.budget.Budget`, one clock for each command (a trip
+answers from the partial exploration, capped at BOUNDED); ``explore``
+additionally takes ``--checkpoint`` / ``--resume`` to persist and
+continue long BFS runs.
 
 Performance (``docs/performance.md``): the sweep commands — ``litmus``,
 ``validate``, ``races``, ``fuzz`` — accept ``--jobs N`` to fan
@@ -92,7 +95,6 @@ def _config(args: argparse.Namespace) -> SemanticsConfig:
     config = semantics_config(
         promises=getattr(args, "promises", 0),
         por=por,
-        por_conservative=getattr(args, "por_conservative", False),
         max_states=getattr(args, "max_states", None),
     )
     deadline = getattr(args, "deadline", None)
@@ -113,7 +115,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     """
     from repro.semantics.exploration import Explorer
 
-    program = _load(args.file, getattr(args, 'csimp', False))
+    program = _load(args.file, args.csimp)
     config = _config(args)
     if args.resume:
         from repro.robust.checkpoint import load_checkpoint
@@ -124,7 +126,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     else:
         explorer = Explorer(program, config, nonpreemptive=args.np)
     profiler = None
-    if getattr(args, "profile", None):
+    if args.profile:
         import cProfile
 
         profiler = cProfile.Profile()
@@ -236,13 +238,15 @@ def _run_file_sweep(kind, files, options, config, args, budget=None):
 
 
 def cmd_races(args: argparse.Namespace) -> int:
-    """``races`` — ww-RF verdict plus read-write race witnesses.
+    """``races`` — ww-RF verdict plus read-write race witnesses, from the
+    race ladder: the static tiers first (a program they discharge is
+    PROVED with 0 states), one exploration for whatever they leave open.
 
     Accepts several files; with ``--jobs N`` they are checked in
     parallel.  The exit code is the worst verdict across files."""
     config = _config(args)
     files = sorted(dict.fromkeys(args.file))
-    options = {"csimp": args.csimp, "np": args.np, "static": args.static}
+    options = {"csimp": args.csimp, "np": args.np}
     records = _run_file_sweep("races", files, options, config, args, config.budget)
     failed = False
     confidences: List[Confidence] = []
@@ -318,7 +322,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     from repro.static import analyze_rw_races, analyze_ww_races, lint_program
 
-    program = _load(args.file, getattr(args, 'csimp', False))
+    program = _load(args.file, args.csimp)
     t0 = time.perf_counter()
     lint = lint_program(program)
     t1 = time.perf_counter()
@@ -328,7 +332,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     t3 = time.perf_counter()
     crossing = _crossing_matrix(program)
     t4 = time.perf_counter()
-    if getattr(args, "json", False):
+    if args.json:
         payload = {
             "file": args.file,
             "lint": {
@@ -421,7 +425,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """``run`` — sample randomized executions."""
-    program = _load(args.file, getattr(args, 'csimp', False))
+    program = _load(args.file, args.csimp)
     config = _config(args)
     for i in range(args.runs):
         result = random_run(
@@ -434,7 +438,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_witness(args: argparse.Namespace) -> int:
     """``witness`` — find and print a schedule realizing a trace."""
-    program = _load(args.file, getattr(args, 'csimp', False))
+    program = _load(args.file, args.csimp)
     parts = [p.strip() for p in args.trace.split(",") if p.strip()]
     trace = tuple(EVENT_DONE if p == "done" else int(p) for p in parts)
     witness = find_witness(program, trace, _config(args), nonpreemptive=args.np)
@@ -581,30 +585,30 @@ def build_parser() -> argparse.ArgumentParser:
                             "--store): reuse exhaustively-proved verdicts "
                             "for unchanged programs")
 
-    def common(p: argparse.ArgumentParser, multi: bool = False) -> None:
+    def files(p: argparse.ArgumentParser, multi: bool = False) -> None:
         if multi:
             p.add_argument("file", nargs="+",
                            help="CSimpRTL source file(s) (or CSimp with "
                                 "--csimp / *.csimp)")
         else:
             p.add_argument("file", help="CSimpRTL source file (or CSimp with --csimp / *.csimp)")
-        p.add_argument("--promises", type=int, default=0, metavar="N",
-                       help="enable a syntactic promise oracle with budget N")
-        p.add_argument("--np", action="store_true",
-                       help="use the non-preemptive machine")
         p.add_argument("--csimp", action="store_true",
                        help="parse the structured CSimp surface syntax")
+
+    def machine(p: argparse.ArgumentParser, np: bool = True) -> None:
+        p.add_argument("--promises", type=int, default=0, metavar="N",
+                       help="enable a syntactic promise oracle with budget N")
+        if np:
+            p.add_argument("--np", action="store_true",
+                           help="use the non-preemptive machine")
+
+    def exploration(p: argparse.ArgumentParser) -> None:
         p.add_argument("--por", default=None, choices=["none", "dpor"],
                        help="partial-order reduction: 'none' (every "
                             "interleaving) or 'dpor' (persistent-set POR; "
                             "behavior- and race-preserving, interleaving "
                             "machine only).  Default: dpor for explore, "
-                            "validate and races; none elsewhere")
-        p.add_argument("--por-conservative", action="store_true",
-                       help="with --por=dpor, treat promise/reserve steps "
-                            "as depending on everything instead of their "
-                            "certification-scoped location window (slower "
-                            "but assumption-free; soundness fallback)")
+                            "validate and races; none for witness")
         p.add_argument("--max-states", type=int, default=None, metavar="N",
                        help="bound the exploration graph (a truncated run "
                             "exits 3, never claiming a proof)")
@@ -617,7 +621,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "cleanly at the ceiling instead of OOMing")
 
     p = sub.add_parser("explore", help="exhaustive behavior exploration")
-    common(p)
+    files(p)
+    machine(p)
+    exploration(p)
     p.add_argument("--traces", action="store_true", help="print all traces")
     p.add_argument("--stats", action="store_true",
                    help="print certification-cache and intern-table "
@@ -636,24 +642,25 @@ def build_parser() -> argparse.ArgumentParser:
                         "functions")
     p.set_defaults(func=cmd_explore, por_default="dpor")
 
-    p = sub.add_parser("races", help="race detection")
-    common(p, multi=True)
+    p = sub.add_parser("races", help="race detection (static tiers first)")
+    files(p, multi=True)
+    machine(p)
+    exploration(p)
     sweep_options(p)
-    p.add_argument("--static", action="store_true",
-                   help="tiered checking: try the static thread-modular "
-                        "analysis first, explore only if inconclusive")
     p.set_defaults(func=cmd_races, por_default="dpor")
 
     p = sub.add_parser("analyze", help="static analyses only (lint + "
                        "thread-modular ww/rw-race detection)")
-    common(p)
+    files(p)
     p.add_argument("--json", action="store_true",
                    help="emit one machine-readable JSON object (verdicts, "
                         "witnesses, per-analysis timings) instead of text")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("validate", help="optimize + translation-validate")
-    common(p, multi=True)
+    files(p, multi=True)
+    machine(p, np=False)
+    exploration(p)
     sweep_options(p)
     p.add_argument("--opt", default="pipeline", choices=OPTIMIZER_CHOICES,
                    help="the optimizer to validate (default: pipeline)")
@@ -668,19 +675,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reject malformed or crossing-illegal optimizer "
                         "output (StrictModeViolation)")
     p.add_argument("--rw", action="store_true",
-                   help="also run the tiered rw-race census on source and "
+                   help="also report the rw-race census of source and "
                         "target (informational: rw-races never fail "
                         "validation, but introductions are reported)")
     p.set_defaults(func=cmd_validate, por_default="dpor")
 
     p = sub.add_parser("run", help="randomized executions")
-    common(p)
+    files(p)
+    machine(p)
     p.add_argument("--runs", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("witness", help="find a schedule for a trace")
-    common(p)
+    files(p)
+    machine(p)
+    exploration(p)
     p.add_argument("--trace", required=True,
                    help='comma-separated outputs, e.g. "0,1,done"')
     p.set_defaults(func=cmd_witness)

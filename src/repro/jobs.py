@@ -15,7 +15,9 @@ of them.
   :func:`job_config`, the configuration a job runs under when its caller
   picks none (the service always; ``repro litmus`` always);
 * :func:`run_job` — one ``litmus`` / ``validate`` / ``races`` check to a
-  JSON-shaped record, on one rung of the :data:`LADDER`;
+  JSON-shaped record, on one rung of the :data:`LADDER`; a races job
+  runs the race ladder (:func:`repro.races.check_races_tiered`), whose
+  static tiers answer with 0 states whenever they discharge both kinds;
 * :func:`verdict_key` / :func:`cached_job` / :func:`remember` — the store.
 
 **The degradation ladder** (:data:`LADDER`) is the one way a job trades
@@ -24,7 +26,9 @@ reruns under the :data:`BOUNDED_MAX_STATES` cap (at best ``BOUNDED``);
 ``sampled`` decides from :data:`SAMPLE_RUNS` randomized runs, or for a
 race check from the static analysis (at best ``SAMPLED``).  A job's
 budget is pinned when :func:`run_job` starts, so every exploration and
-every sampled run in it meters against what is left of one clock.  A
+every sampled run in it meters against what is left of one clock (a
+validation splits it between source and target, see
+:func:`repro.sim.validate.validate_optimizer`).  A
 rung that trips its budget answers from its partial work, capped at
 ``BOUNDED``; only a rung that dies (the service's forked worker is
 killed or crashes) sends the job down to the next rung.
@@ -97,7 +101,7 @@ OPTION_DEFAULTS: Dict[str, Dict[str, Any]] = {
         "opt": "pipeline", "csimp": False, "no_wwrf": False, "strict": False,
         "static_tier": False, "rw": False, "equivalence": 0,
     },
-    "races": {"csimp": False, "np": False, "static": False},
+    "races": {"csimp": False, "np": False},
 }
 
 RUNG_EXHAUSTIVE = "exhaustive"
@@ -153,7 +157,6 @@ def load_source(source: str, structured: bool = False) -> Program:
 def semantics_config(
     promises: int = 0,
     por: str = "none",
-    por_conservative: bool = False,
     max_states: Optional[int] = None,
 ) -> SemanticsConfig:
     """The options→``SemanticsConfig`` mapping (no budget attached)."""
@@ -164,8 +167,6 @@ def semantics_config(
         )
     if por == "dpor":
         kwargs["por"] = "dpor"
-    if por_conservative:
-        kwargs["por_conservative"] = True
     if max_states is not None:
         kwargs["max_states"] = max_states
     return SemanticsConfig(**kwargs)
@@ -389,30 +390,20 @@ def _machine_equivalence(
 
 def _races(program: Program, options: Dict[str, Any], config: SemanticsConfig) -> Dict[str, Any]:
     from repro.races.tiered import check_races_tiered
-    from repro.races.wwrf import _check, ww_nprf
     from repro.semantics.exploration import ExplorationSession
 
-    nonpreemptive = options["np"]
-    lines = []
-    if options["static"]:
-        # The three-tier ladder: static rw and ww tiers first, one shared
-        # exploration only for whatever they leave inconclusive.
-        ladder = check_races_tiered(program, config, nonpreemptive=nonpreemptive)
-        report = ladder.ww
-        lines.append(f"static rw tier: {ladder.static_rw}")
-        lines.append(f"static tier: {ladder.static_ww}")
-        witnesses = ladder.rw.witnesses
-        explorations = int(ladder.state_count > 0)  # one shared graph, if any
-    else:
-        # One scan of the interleaving graph answers both race kinds; with
-        # --np the ww verdict reads the non-preemptive graph instead.
-        session = ExplorationSession(config)
-        report, rw_report = _check(program, config, False, session)
-        if nonpreemptive:
-            report = ww_nprf(program, config, session)
-        witnesses = rw_report.witnesses
-        explorations = session.explorations
-    lines.append(f"ww-RF: {report}")
+    # The race ladder: static rw and ww first, one shared exploration
+    # only for the kinds they leave open; with ``np`` the ww verdict
+    # reads the non-preemptive graph.
+    session = ExplorationSession(config)
+    ladder = check_races_tiered(program, nonpreemptive=options["np"], session=session)
+    report = ladder.ww
+    lines = [
+        f"static rw tier: {ladder.static_rw}",
+        f"static tier: {ladder.static_ww}",
+        f"ww-RF: {report}",
+    ]
+    witnesses = ladder.rw.witnesses
     if witnesses:
         lines.append("read-write races:")
         lines.extend(
@@ -420,14 +411,15 @@ def _races(program: Program, options: Dict[str, Any], config: SemanticsConfig) -
         )
     else:
         lines.append("read-write races: none")
+    # The census is part of the answer: a truncated rw scan bounds it.
     return {
         "ok": report.race_free,
-        "exhaustive": report.exhaustive,
-        "confidence": str(report.confidence),
+        "exhaustive": report.exhaustive and ladder.rw.exhaustive,
+        "confidence": str(Confidence.weakest((report.confidence, ladder.rw.confidence))),
         "detail": "\n".join(lines),
         "lines": lines,
         "downgrade_reason": report.downgrade,
-        "explorations": explorations,
+        "explorations": session.explorations,
         "cached": False,
     }
 

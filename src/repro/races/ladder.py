@@ -2,11 +2,13 @@
 
 Both ladders in the repo — race checking
 (:func:`repro.races.tiered.check_races_tiered`) and translation
-validation (:func:`repro.sim.validate.validate_tiered`) — share the same
-shape: cheap static tiers first, exhaustive exploration only for what
-they leave undecided.  :class:`TierOutcome` is the common per-tier
-record both attach to their reports, so CLI/benchmark consumers can
-render any ladder uniformly.
+validation (:func:`repro.sim.validate.validate_tiered`) — weigh cheap
+static tiers against exploration: static first and exploration only for
+what they leave undecided, or, for a race check whose caller already
+holds the graph, the graph first and the static tiers only when it is
+truncated.  :class:`TierOutcome` is the common per-tier record both
+attach to their reports, so CLI/benchmark consumers can render any
+ladder uniformly.
 """
 
 from __future__ import annotations

@@ -1,48 +1,48 @@
-"""Tiered race checking: static tiers first, one shared exploration last.
+"""Tiered race checking: one ladder, ordered by the evidence on hand.
 
-The three-tier ladder (cheapest first):
+The tiers:
 
-* **tier 0 — static rw** (:mod:`repro.static.rwraces`): thread-modular
-  read-write discharge, zero machine states;
-* **tier 1 — static ww** (:mod:`repro.static.wwraces`): the same for
-  write-write pairs;
-* **tier 2 — dynamic explorer**: exhaustive PS2.1 state exploration,
-  built *once* and scanned for both race kinds, entered only for the
-  analyses the static tiers left inconclusive.
+* **static rw** (:mod:`repro.static.rwraces`): thread-modular read-write
+  discharge, zero machine states;
+* **static ww** (:mod:`repro.static.wwraces`): the same for write-write
+  pairs;
+* **exploration**: the program's state graph, scanned *once* for both
+  race kinds (:func:`repro.races.wwrf.scan_races`).
+
+:func:`check_races_tiered` orders them by what the caller already has:
+
+* when the caller already holds the program's interleaving graph —
+  validation, whose refinement builds it anyway — that graph is scanned
+  first, and the static tiers are asked only when it is truncated;
+* otherwise static rw, then static ww, and exploration only for the race
+  kinds they leave open (``repro races``, the races job).
 
 The contract:
 
 * a static ``RACE_FREE`` is **sound** — it may never contradict what
   exhaustive exploration would find (validated by the Hypothesis property
   tests in ``tests/static/test_soundness.py`` /
-  ``tests/static/test_rw_soundness.py`` and the E-STATIC benchmarks);
-* the fallback preserves exhaustive semantics exactly, including the
-  ``exhaustive`` truncation flag and the ``stop_reason`` of a
-  budget-governed exploration (``config.budget``) — a deadline- or
-  memory-cancelled fallback reports ``confidence == BOUNDED``, never a
-  proof;
-* the returned reports record which tier decided via their ``method``
-  field (``"static"`` → zero states explored, ``confidence == PROVED``:
-  the static verdict is a proof and costs no budget).
-
-``ww_rf_tiered`` / ``ww_rf_tiered_with_static`` keep the original
-two-tier ww entry points; ``rw_races_tiered`` is the rw counterpart and
-``check_races_tiered`` runs the full ladder.  ``check_races_graph_first``
-runs it the other way round, for callers that build the interleaving
-graph anyway.
+  ``tests/static/test_rw_soundness.py`` and the E-STATIC benchmarks), so
+  asking it after a truncated scan changes no exhaustive verdict;
+* an explored verdict keeps the exploration's ``exhaustive`` flag and
+  ``stop_reason``: a deadline- or memory-cancelled exploration reports
+  ``confidence == BOUNDED``, never a proof;
+* each report records which tier decided via its ``method`` field
+  (``"static"`` → zero states explored, ``confidence == PROVED``: the
+  static verdict is a proof and costs no budget).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.lang.syntax import Program
 from repro.races.ladder import TierOutcome, format_tiers
 from repro.races.rwrace import RwReport
-from repro.races.wwrf import RaceReport, _check
-from repro.semantics.exploration import ExplorationSession
+from repro.races.wwrf import RaceReport, _check, graph_reports
+from repro.semantics.exploration import ExplorationSession, Explorer
 from repro.semantics.thread import SemanticsConfig
 from repro.static.rwraces import StaticRwReport, analyze_rw_races
 from repro.static.wwraces import StaticRaceReport, analyze_ww_races
@@ -52,58 +52,16 @@ _STATIC_WW = RaceReport(True, None, True, 0, method="static")
 _STATIC_RW = RwReport(True, (), True, 0, method="static")
 
 
-def ww_rf_tiered(
-    program: Program,
-    config: Optional[SemanticsConfig] = None,
-    nonpreemptive: bool = False,
-    session: Optional[ExplorationSession] = None,
-) -> RaceReport:
-    """``ww-RF(P)`` via the static tier, falling back to exploration.  A
-    ``session`` (whose config then applies) keeps the fallback's graph for
-    the caller's other checks."""
-    report, _ = ww_rf_tiered_with_static(program, config, nonpreemptive, session)
-    return report
-
-
-def ww_rf_tiered_with_static(
-    program: Program,
-    config: Optional[SemanticsConfig] = None,
-    nonpreemptive: bool = False,
-    session: Optional[ExplorationSession] = None,
-) -> Tuple[RaceReport, StaticRaceReport]:
-    """As :func:`ww_rf_tiered`, also returning the static tier's report
-    (for diagnostics: witnesses of why the fallback was needed)."""
-    static = analyze_ww_races(program)
-    if static.race_free:
-        return _STATIC_WW, static
-    return _check(program, config, nonpreemptive, session)[0], static
-
-
-def rw_races_tiered(
-    program: Program,
-    config: Optional[SemanticsConfig] = None,
-    nonpreemptive: bool = False,
-    session: Optional[ExplorationSession] = None,
-) -> Tuple[RwReport, StaticRwReport]:
-    """rw-race detection via the static tier, falling back to exploration
-    (through ``session`` when given, as for :func:`ww_rf_tiered`).
-
-    Returns the dynamic-shaped report and the static tier's own report
-    (whose witnesses explain any fallback)."""
-    static = analyze_rw_races(program)
-    if static.race_free:
-        return _STATIC_RW, static
-    return _check(program, config, nonpreemptive, session)[1], static
-
-
 @dataclass(frozen=True)
 class RaceLadderReport:
-    """The combined outcome of the three-tier ladder."""
+    """The combined outcome of the ladder.  ``static_ww`` / ``static_rw``
+    are ``None`` when that static tier never ran (a graph-first check
+    whose scan was exhaustive)."""
 
     ww: RaceReport
     rw: RwReport
-    static_ww: StaticRaceReport
-    static_rw: StaticRwReport
+    static_ww: Optional[StaticRaceReport]
+    static_rw: Optional[StaticRwReport]
     #: Per-tier timing/decision trail (empty for reports built by hand).
     tiers: Tuple[TierOutcome, ...] = ()
 
@@ -124,63 +82,73 @@ class RaceLadderReport:
         return f"{head}\n{trail}" if trail else head
 
 
+def _static_tiers(
+    program: Program, tiers: List[TierOutcome]
+) -> Tuple[StaticRwReport, StaticRaceReport]:
+    """Run static rw, then static ww, timing each into ``tiers``."""
+    started = time.perf_counter()
+    static_rw = analyze_rw_races(program)
+    tiers.append(TierOutcome(
+        "static-rw", time.perf_counter() - started, static_rw.race_free
+    ))
+    started = time.perf_counter()
+    static_ww = analyze_ww_races(program)
+    tiers.append(TierOutcome(
+        "static-ww", time.perf_counter() - started, static_ww.race_free
+    ))
+    return static_rw, static_ww
+
+
 def check_races_tiered(
     program: Program,
     config: Optional[SemanticsConfig] = None,
     nonpreemptive: bool = False,
     session: Optional[ExplorationSession] = None,
+    static_tier: bool = True,
+    graph: Optional[Explorer] = None,
 ) -> RaceLadderReport:
-    """Run the full ladder: static rw, static ww, then — only if either
-    was inconclusive — build **one** explorer and scan its states once,
-    keeping the verdict of whichever race kind remained undecided.  A
-    ``session`` (whose config then applies) shares that graph with the
-    caller's other checks."""
-    started = time.perf_counter()
-    static_rw = analyze_rw_races(program)
-    rw_elapsed = time.perf_counter() - started
-    started = time.perf_counter()
-    static_ww = analyze_ww_races(program)
-    ww_elapsed = time.perf_counter() - started
-    tiers = [
-        TierOutcome("static-rw", rw_elapsed, static_rw.race_free),
-        TierOutcome("static-ww", ww_elapsed, static_ww.race_free),
-    ]
-    rw_report = _STATIC_RW if static_rw.race_free else None
-    ww_report = _STATIC_WW if static_ww.race_free else None
-    if rw_report is None or ww_report is None:
+    """The ww-RF report and the rw census of ``program`` (module docs).
+
+    ``graph`` is the program's built interleaving graph, when the caller
+    has it: the scan then comes first.  Otherwise a ``session`` (whose
+    config then applies) shares what the ladder explores with the
+    caller's other checks.  ``nonpreemptive`` reads the ww verdict off
+    the Fig. 10 machine (ww-NPRF), explored under the graph's config
+    when one is given; the rw census always reads the interleaving
+    graph.  ``static_tier=False`` skips the static tiers.
+    """
+    session = session or ExplorationSession(config if graph is None else graph.config)
+    tiers: List[TierOutcome] = []
+    static_rw: Optional[StaticRwReport] = None
+    static_ww: Optional[StaticRaceReport] = None
+    graph_first = graph is not None
+    if static_tier and not graph_first:
+        static_rw, static_ww = _static_tiers(program, tiers)
+    rw = _STATIC_RW if static_rw is not None and static_rw.race_free else None
+    ww = _STATIC_WW if static_ww is not None and static_ww.race_free else None
+    if ww is None or rw is None:
         started = time.perf_counter()
-        ww_scan, rw_scan = _check(program, config, nonpreemptive, session)
-        if ww_report is None:
-            ww_report = ww_scan
-        if rw_report is None:
-            rw_report = rw_scan
+        if rw is None or (ww is None and not nonpreemptive):
+            # One scan of the interleaving graph answers both kinds.
+            if graph is None:
+                graph = session.graph(program)
+            ww_scan, rw_scan = graph_reports(program, graph)
+            if rw is None:
+                rw = rw_scan
+            if ww is None and not nonpreemptive:
+                ww = ww_scan
+        if ww is None:
+            ww = _check(program, config, True, session)[0]
         tiers.append(TierOutcome(
             "exploration",
             time.perf_counter() - started,
-            True,
-            f"{ww_scan.state_count} states",
+            ww.exhaustive and rw.exhaustive,
+            f"{max(ww.state_count, rw.state_count)} states",
         ))
-    return RaceLadderReport(ww_report, rw_report, static_ww, static_rw, tuple(tiers))
-
-
-def check_races_graph_first(
-    program: Program,
-    config: Optional[SemanticsConfig] = None,
-    session: Optional[ExplorationSession] = None,
-    static_tier: bool = True,
-    report_rw: bool = True,
-) -> Tuple[RaceReport, Optional[RwReport]]:
-    """The ladder the other way round, for a caller that explores
-    ``program`` on the interleaving machine anyway (through ``session``):
-    scan that graph once for both race kinds, and — with ``static_tier``
-    — ask the static tiers only when it is truncated.  A static
-    ``RACE_FREE`` is sound, so it can change no exhaustive scan's verdict.
-    The rw report is ``None`` without ``report_rw``."""
-    ww, rw_scan = _check(program, config, False, session)
-    rw = rw_scan if report_rw else None
-    if static_tier and not ww.exhaustive:
-        if analyze_ww_races(program).race_free:
+    if static_tier and graph_first and not (ww.exhaustive and rw.exhaustive):
+        static_rw, static_ww = _static_tiers(program, tiers)
+        if not ww.exhaustive and static_ww.race_free:
             ww = _STATIC_WW
-        if rw is not None and analyze_rw_races(program).race_free:
+        if not rw.exhaustive and static_rw.race_free:
             rw = _STATIC_RW
-    return ww, rw
+    return RaceLadderReport(ww, rw, static_ww, static_rw, tuple(tiers))

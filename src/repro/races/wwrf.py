@@ -67,8 +67,8 @@ class RaceReport:
 
     ``method`` records how the verdict was obtained: ``"exhaustive"``
     state exploration, or ``"static"`` when
-    :func:`repro.races.tiered.ww_rf_tiered` discharged the program with
-    the thread-modular analysis alone (then ``state_count`` is 0 and
+    :func:`repro.races.tiered.check_races_tiered` discharged the program
+    with the thread-modular analysis alone (then ``state_count`` is 0 and
     ``exhaustive`` is True — the static ``RACE_FREE`` verdict is a proof).
     """
 
@@ -151,7 +151,11 @@ def _check(
     """The ww-RF report and the rw census of ``program``, from one scan of
     its graph (shared through ``session``, whose config then applies)."""
     session = session or ExplorationSession(config)
-    explorer = session.graph(program, nonpreemptive)
+    return graph_reports(program, session.graph(program, nonpreemptive))
+
+
+def graph_reports(program: Program, explorer: Explorer) -> Tuple[RaceReport, RwReport]:
+    """The ww-RF report and the rw census read off one built graph."""
     ww, rw = scan_races(program, explorer)
     witness = ww[0] if ww else None
     graph = dict(

@@ -100,6 +100,19 @@ class Budget:
             return self
         return replace(self, started_at=time.monotonic())
 
+    def share(self, fraction: float) -> "Budget":
+        """This budget with a pinned deadline cut to ``fraction`` of what
+        is left of it, counted from now.
+
+        An unpinned budget is returned as it is: each meter started from
+        it gets the whole duration anyway.
+        """
+        if self.started_at is None or self.deadline_seconds is None:
+            return self
+        elapsed = time.monotonic() - self.started_at
+        left = max(0.0, self.deadline_seconds - elapsed)
+        return replace(self, deadline_seconds=elapsed + fraction * left)
+
     def expired(self) -> bool:
         """Whether a pinned deadline has already passed."""
         return (

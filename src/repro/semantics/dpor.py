@@ -17,8 +17,7 @@ some member moves.  The set is computed from the state alone
   (``FootprintIndex.live_locations``) together with its next step's
   reads and writes, read as a footprint that reads and writes all of them;
 * a member that prints or runs an SC fence makes the set every live
-  thread (future outputs and fences are not tracked), and so does the
-  conservative :data:`FLAG_PRM`;
+  thread (future outputs and fences are not tracked);
 * each start thread is tried, and the smallest set wins.
 
 **Why it is exact.**  A thread's future over-approximates every later step
@@ -43,9 +42,8 @@ over the program's locations (:class:`FootprintIndex`).  Two footprints
 are dependent iff
 
 * they write-write or write-read overlap on some location,
-* both are SC fences (they exchange with the global SC view),
-* both are outputs (their relative order is the observable trace), or
-* either carries the conservative :data:`FLAG_PRM` (see below).
+* both are SC fences (they exchange with the global SC view), or
+* both are outputs (their relative order is the observable trace).
 
 **Certification-scoped promise dependence.**  A *potential promiser* —
 a thread holding a promise, or one with budget left and a non-empty
@@ -67,9 +65,7 @@ function of the thread state.  Any other thread certifies trivially, so
 its footprint is just its next op's.  Unknown oracle classes and
 reservation-enabled configs fall back to universal writes (a reserve
 step may target any location), so their sets are the whole pool.
-``--por-conservative`` (:attr:`SemanticsConfig.por_conservative`)
-restores the old "depends on everything" :data:`TOP_FP` treatment — no
-reduction at all — as a soundness oracle.
+``por="none"`` is the reference oracle the relation is checked against.
 
 **Promises only where they can matter.**  Under a syntactic oracle,
 DPOR narrows promise steps by four rules; ``none`` keeps the full oracle
@@ -207,8 +203,7 @@ The reduced graph is written into the owning
 ``terminal`` arrays, so the trace fixpoint, checkpointing, and all
 downstream consumers work unchanged.  Validation: behavior-set equality
 against the unreduced explorer over the litmus library and fuzz corpus —
-including promise-bearing, reservation, and SC-fence configurations —
-plus the ``--por-conservative`` differential
+including promise-bearing, reservation, and SC-fence configurations
 (``tests/semantics/test_dpor.py``).
 """
 
@@ -253,8 +248,6 @@ if TYPE_CHECKING:
 FLAG_OUT = 1
 #: Footprint flag: the step is an SC fence (exchanges with the SC view).
 FLAG_SC = 2
-#: Footprint flag: conservative promise treatment — depends on everything.
-FLAG_PRM = 4
 
 #: A transition footprint: ``(reads, writes, flags)``.  Reads and writes
 #: are bit masks over the program's sorted location list (see
@@ -269,9 +262,6 @@ Outcome = Tuple[Optional[int], ThreadState, object, int]
 #: The empty footprint — independent of everything (pure-local steps).
 EMPTY_FP: Footprint = (0, 0, 0)
 
-#: The universal footprint — dependent on everything (conservative mode).
-TOP_FP: Footprint = (0, 0, FLAG_PRM)
-
 #: Flags whose future occurrences are not tracked: a persistent set with
 #: such a member is the whole pool.
 _UNTRACKED = FLAG_OUT | FLAG_SC
@@ -281,8 +271,6 @@ def dependent(a: Footprint, b: Footprint) -> bool:
     """Whether two transition footprints may fail to commute."""
     reads_a, writes_a, flags_a = a
     reads_b, writes_b, flags_b = b
-    if (flags_a | flags_b) & FLAG_PRM:
-        return True
     if flags_a & flags_b & (FLAG_OUT | FLAG_SC):
         return True
     if writes_a & writes_b:
@@ -305,7 +293,6 @@ class FootprintIndex:
     __slots__ = (
         "program",
         "config",
-        "conservative",
         "stats",
         "loc_bit",
         "universe",
@@ -336,7 +323,6 @@ class FootprintIndex:
     ) -> None:
         self.program = program
         self.config = config
-        self.conservative = config.por_conservative
         self.stats = stats
         self.loc_bit: Dict[str, int] = {
             loc: 1 << i for i, loc in enumerate(sorted(program.locations()))
@@ -484,8 +470,6 @@ class FootprintIndex:
         local = ts.local
         if local.done:
             return None
-        if self.conservative:
-            return TOP_FP
         config = self.config
         key = (local.func, local.label, local.offset)
         base = self._op_fp.get(key)
@@ -848,9 +832,8 @@ def persistent_set(
     location the thread may still access.  From each start thread, every
     thread whose future is dependent with a member's footprint joins; a
     member that prints or runs an SC fence makes the set everything (a
-    thread's future outputs and fences are not tracked), and so does a
-    conservative :data:`FLAG_PRM` footprint, which is dependent with every
-    future.  Ties go to the lowest start.
+    thread's future outputs and fences are not tracked).  Ties go to the
+    lowest start.
     """
     best = tuple(range(len(fps)))
     for start in range(len(fps)):

@@ -105,11 +105,6 @@ class SemanticsConfig:
     gap_leaving_writes: bool = False
     certify_against_cap: bool = True
     por: str = "none"
-    #: Under ``por="dpor"``, treat every transition as dependent on every
-    #: other (the original promise treatment) — prunes nothing, but
-    #: serves as the soundness oracle for the precise footprint relation
-    #: (``--por-conservative``).
-    por_conservative: bool = False
     certification_max_steps: int = 5000
     certification_cache_cap: int = 100_000
     certification_precheck: bool = True

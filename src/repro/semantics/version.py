@@ -64,7 +64,6 @@ def config_digest(config: Any) -> str:
         config.gap_leaving_writes,
         config.certify_against_cap,
         config.por,
-        config.por_conservative,
         config.certification_max_steps,
         config.max_states,
         config.max_outputs,

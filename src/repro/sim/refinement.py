@@ -5,6 +5,11 @@
 are decided exactly by comparing exhaustively computed behavior sets.  The
 result distinguishes a definitive verdict (both explorations exhaustive)
 from a bounded one, and carries a counterexample trace on failure.
+
+A truncated exploration yields a subset of the program's traces.  A
+target trace is therefore always a real behavior, but one missing from a
+truncated source set may be a source behavior the bound cut off: only an
+exhaustive source refutes refinement.
 """
 
 from __future__ import annotations
@@ -20,7 +25,13 @@ from repro.semantics.thread import SemanticsConfig
 
 @dataclass(frozen=True)
 class RefinementResult:
-    """The outcome of a refinement check ``target ⊆ source``."""
+    """The outcome of a refinement check ``target ⊆ source``.
+
+    ``counterexample`` is the shortest target trace the source set lacks.
+    It refutes refinement (``holds`` False) only against an exhaustive
+    source; against a truncated one the check is inconclusive, and
+    ``holds`` stays True with ``definitive`` False.
+    """
 
     holds: bool
     definitive: bool
@@ -32,17 +43,26 @@ class RefinementResult:
         return self.holds
 
     def __str__(self) -> str:
-        if self.holds:
-            certainty = "definitive" if self.definitive else "bounded"
-            return f"refinement holds ({certainty}; {len(self.target_behaviors.traces)} ⊆ {len(self.source_behaviors.traces)} traces)"
-        return f"refinement FAILS: target trace {format_trace(self.counterexample)} not in source"
+        target = len(self.target_behaviors.traces)
+        source = len(self.source_behaviors.traces)
+        if not self.holds:
+            return f"refinement FAILS: target trace {format_trace(self.counterexample)} not in source"
+        if self.counterexample is not None:
+            return (
+                f"refinement not refuted (bounded; {target} ⊄ {source} traces: "
+                f"target trace {format_trace(self.counterexample)} not in the "
+                "truncated source)"
+            )
+        certainty = "definitive" if self.definitive else "bounded"
+        return f"refinement holds ({certainty}; {target} ⊆ {source} traces)"
 
 
-def _compare(target: BehaviorSet, source: BehaviorSet) -> RefinementResult:
+def compare_behaviors(target: BehaviorSet, source: BehaviorSet) -> RefinementResult:
+    """Decide ``target ⊆ source`` from two computed behavior sets."""
     extra = target.traces - source.traces
     counterexample = min(extra, key=lambda t: (len(t), str(t))) if extra else None
     return RefinementResult(
-        holds=not extra,
+        holds=not extra or not source.exhaustive,
         definitive=target.exhaustive and source.exhaustive,
         counterexample=counterexample,
         target_behaviors=target,
@@ -62,13 +82,12 @@ def check_refinement(
     Note the argument order follows the paper's reading direction — the
     *source* program is the specification the target must refine.  The
     behavior sets come from ``session`` (whose config then applies), so a
-    target equal to its source is explored once, and a program the caller
-    already scanned for races is not explored again.
+    target equal to its source is explored once.
     """
     session = session or ExplorationSession(config)
     target_behaviors = session.behaviors(target, nonpreemptive)
     source_behaviors = session.behaviors(source, nonpreemptive)
-    return _compare(target_behaviors, source_behaviors)
+    return compare_behaviors(target_behaviors, source_behaviors)
 
 
 def check_equivalence(
@@ -82,6 +101,6 @@ def check_equivalence(
     target_behaviors = session.behaviors(target, nonpreemptive)
     source_behaviors = session.behaviors(source, nonpreemptive)
     return (
-        _compare(target_behaviors, source_behaviors),
-        _compare(source_behaviors, target_behaviors),
+        compare_behaviors(target_behaviors, source_behaviors),
+        compare_behaviors(source_behaviors, target_behaviors),
     )

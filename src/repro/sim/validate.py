@@ -11,13 +11,12 @@ comparison, plus the two meta-properties the paper's framework guarantees:
 * preservation of the atomics set ``ι`` (optimizers never touch atomic
   variables).
 
-Race-freedom of source and target is established through the tiered
-checker (:func:`repro.races.ww_rf_tiered`): the thread-modular static
-analysis first, exhaustive exploration only when it is inconclusive.
-Refinement on the interleaving machine explores both programs anyway, so
-there the order flips: the race verdicts are read off those graphs, and
-the static tiers are asked only when a graph is truncated.  Pass
-``static_tier=False`` to force pure exploration.
+Race-freedom of source and target is established through the race
+ladder (:func:`repro.races.check_races_tiered`).  Refinement on the
+interleaving machine explores both programs anyway, so the race verdicts
+are read off those graphs, and the thread-modular static tiers are asked
+only when a graph is truncated.  Pass ``static_tier=False`` to force pure
+exploration.
 
 ``validate_corpus`` sweeps a seed range of randomly generated ww-RF
 programs through an optimizer — the E-THM66 experiment.
@@ -30,7 +29,7 @@ callers (the CLI in particular) never report a bounded run as definitive.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.lang.syntax import Program
@@ -38,16 +37,12 @@ from repro.litmus.generator import GeneratorConfig, random_wwrf_program
 from repro.opt.base import Optimizer
 from repro.races.ladder import TierOutcome, format_tiers
 from repro.races.rwrace import RwReport
-from repro.races.tiered import (
-    check_races_graph_first,
-    rw_races_tiered,
-    ww_rf_tiered,
-)
-from repro.races.wwrf import RaceReport, ww_rf
+from repro.races.tiered import check_races_tiered
+from repro.races.wwrf import RaceReport
 from repro.robust.confidence import Confidence, derive_confidence
-from repro.semantics.exploration import ExplorationSession
+from repro.semantics.exploration import Explorer
 from repro.semantics.thread import SemanticsConfig
-from repro.sim.refinement import RefinementResult, check_refinement
+from repro.sim.refinement import RefinementResult, compare_behaviors
 
 if TYPE_CHECKING:  # runtime imports would cycle through repro.sim
     from repro.sim.invariant import Invariant
@@ -80,8 +75,7 @@ class ValidationReport:
     source_rw: Optional[RwReport] = None
     target_rw: Optional[RwReport] = None
     #: State graphs the validation built (``None`` for reports assembled
-    #: elsewhere): at most one per distinct program and machine, so 1 for
-    #: an unchanged target whose race checks the static tier discharged.
+    #: elsewhere): one per distinct program, so 1 for an unchanged target.
     explorations: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -92,8 +86,8 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         """Correctness verdict: either the ww-RF precondition fails (the
-        theorem is vacuous for this source) or refinement holds and ww-RF
-        is preserved."""
+        theorem is vacuous for this source) or refinement holds — is not
+        refuted, when the source was truncated — and ww-RF is preserved."""
         if not self.source_wwrf.race_free:
             return True  # precondition violated: nothing to check
         preserved = self.target_wwrf is None or self.target_wwrf.race_free
@@ -151,30 +145,24 @@ def validate_optimizer(
     source: Program,
     config: Optional[SemanticsConfig] = None,
     check_target_wwrf: bool = True,
-    nonpreemptive: bool = False,
     static_tier: bool = True,
     report_rw: bool = False,
     target: Optional[Program] = None,
 ) -> ValidationReport:
     """Validate one optimizer run: refinement + ww-RF preservation.
 
-    The race checks read the interleaving graph.  With
-    ``nonpreemptive=False`` refinement builds that graph anyway, so the
-    scans come first (:func:`repro.races.check_races_graph_first`) and
-    ``static_tier`` (default) only lets the static tiers decide what a
-    truncated graph leaves open.  With
-    ``nonpreemptive=True`` it routes the checks through
-    :func:`repro.races.ww_rf_tiered` and
-    :func:`repro.races.rw_races_tiered`, skipping the interleaving graph
-    for programs the static analysis proves race-free.  ``report_rw``
-    additionally takes the rw-race census of source and target, attaching
-    the reports for diagnostics; rw-races never affect the verdict.
+    Each distinct program is explored once, on the interleaving machine:
+    its graph answers refinement and, through
+    :func:`repro.races.check_races_tiered`, the race checks, which ask the
+    static tiers (``static_tier``, default on) only when the graph is
+    truncated.  A target equal to its source reuses every source verdict.
+    ``report_rw`` additionally attaches the rw-race census of source and
+    target for diagnostics; rw-races never affect the verdict.
     ``target`` is the optimizer's output when the caller already ran it.
 
-    Each distinct program is explored at most once per machine (one
-    :class:`~repro.semantics.exploration.ExplorationSession`): the race
-    checks run first, refinement then reuses their graphs, and a
-    target equal to its source reuses every source verdict.
+    Under a pinned budget (one clock per job) the source of a changed
+    target takes at most half of what is left of the deadline, the target
+    the rest; each graph's trace salvage runs inside its own share.
     """
     config = config or SemanticsConfig()
     if target is None:
@@ -182,25 +170,21 @@ def validate_optimizer(
     if target.atomics != source.atomics:
         raise AssertionError(f"{optimizer.name} changed the atomics set ι")
     changed = target != source
-    session = ExplorationSession(config)
+    source_config = config
+    if changed and config.budget is not None:
+        source_config = replace(config, budget=config.budget.share(0.5))
+    source_graph = Explorer(source, source_config)
+    source_behaviors = source_graph.behaviors()
+    target_graph, target_behaviors = source_graph, source_behaviors
+    if changed:
+        target_graph = Explorer(target, config)
+        target_behaviors = target_graph.behaviors()
 
-    def race_checks(program: Program) -> Tuple[RaceReport, Optional[RwReport]]:
-        """The ww-RF report and, with ``report_rw``, the rw census of
-        ``program``: each graph is scanned once for both race kinds."""
-        if not nonpreemptive:
-            # Refinement explores ``program`` on this machine anyway.
-            return check_races_graph_first(
-                program, config, session, static_tier, report_rw
-            )
-        check = ww_rf_tiered if static_tier else ww_rf
-        ww = check(program, config, session=session)
-        if not report_rw:
-            return ww, None
-        # The rw census reads the non-preemptive graph: another graph.
-        rw, _ = rw_races_tiered(program, config, nonpreemptive, session)
-        return ww, rw
+    def race_checks(program: Program, graph: Explorer) -> Tuple[RaceReport, Optional[RwReport]]:
+        ladder = check_races_tiered(program, static_tier=static_tier, graph=graph)
+        return ladder.ww, ladder.rw if report_rw else None
 
-    source_wwrf, source_rw = race_checks(source)
+    source_wwrf, source_rw = race_checks(source, source_graph)
     want_target_wwrf = check_target_wwrf and source_wwrf.race_free
     target_wwrf: Optional[RaceReport] = None
     target_rw: Optional[RwReport] = None
@@ -208,10 +192,10 @@ def validate_optimizer(
         target_rw = source_rw
         target_wwrf = source_wwrf if want_target_wwrf else None
     elif want_target_wwrf or report_rw:
-        target_wwrf, target_rw = race_checks(target)
+        target_wwrf, target_rw = race_checks(target, target_graph)
         if not want_target_wwrf:
             target_wwrf = None
-    refinement = check_refinement(source, target, config, nonpreemptive, session)
+    refinement = compare_behaviors(target_behaviors, source_behaviors)
     return ValidationReport(
         optimizer=optimizer.name,
         refinement=refinement,
@@ -220,7 +204,7 @@ def validate_optimizer(
         changed=changed,
         source_rw=source_rw,
         target_rw=target_rw,
-        explorations=session.explorations,
+        explorations=1 + changed,
     )
 
 
@@ -302,7 +286,6 @@ def validate_tiered(
     source: Program,
     config: Optional[SemanticsConfig] = None,
     check_target_wwrf: bool = True,
-    nonpreemptive: bool = False,
     report_rw: bool = False,
 ) -> TieredValidationReport:
     """Tiered translation validation, mirroring
@@ -339,7 +322,6 @@ def validate_tiered(
         source,
         config,
         check_target_wwrf=check_target_wwrf,
-        nonpreemptive=nonpreemptive,
         report_rw=report_rw,
         target=target,
     )

@@ -52,7 +52,6 @@ from repro.static.wwraces import (
     StaticRaceReport,
     StaticRaceWitness,
     StaticVerdict,
-    ThreadSummary,
     analyze_ww_races,
     build_thread_summary,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "StaticVerdict",
     "StrictModeViolation",
     "ThreadAccessSummary",
-    "ThreadSummary",
     "analyze_rw_races",
     "analyze_ww_races",
     "build_access_summaries",

@@ -68,11 +68,6 @@ from repro.static.summary import (
     build_access_summary,
 )
 
-#: Backwards-compatible aliases: the ww detector's summary types are the
-#: shared access-summary types since the absint port.
-ThreadSummary = ThreadAccessSummary
-NaWriteSite = AccessSite
-
 
 class StaticVerdict(enum.Enum):
     """Three-valued outcome of a static race analysis."""

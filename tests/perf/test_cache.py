@@ -271,10 +271,3 @@ class TestSemanticsVersionBump:
         digests = {config_digest(SemanticsConfig(por=por))
                    for por in ("none", "dpor")}
         assert len(digests) == 2
-
-    def test_config_digest_tracks_por_conservative(self):
-        precise = config_digest(SemanticsConfig(por="dpor"))
-        conservative = config_digest(
-            SemanticsConfig(por="dpor", por_conservative=True)
-        )
-        assert precise != conservative

@@ -16,7 +16,7 @@ from repro.robust.budget import (
     REASON_MEMORY,
     REASON_STATES,
 )
-from repro.semantics.exploration import behaviors
+from repro.semantics.exploration import Explorer, behaviors
 from repro.semantics.thread import SemanticsConfig
 
 
@@ -72,6 +72,16 @@ class TestBudgetMeter:
         assert info.value.reason == REASON_DEADLINE
         assert not Budget(deadline_seconds=0.05).expired()  # unpinned: not yet running
 
+    def test_share_cuts_what_is_left_of_a_pinned_deadline(self):
+        """A share of a pinned budget ends at that fraction of what is
+        left; an unpinned budget keeps its per-meter duration."""
+        budget = Budget(deadline_seconds=10.0).pinned()
+        half = budget.share(0.5)
+        assert half.started_at == budget.started_at
+        assert 5.0 <= half.deadline_seconds < 5.1  # elapsed + half of the rest
+        unpinned = Budget(deadline_seconds=10.0)
+        assert unpinned.share(0.5) is unpinned
+
 
 class TestGovernedExploration:
     def test_productive_cycle_terminates_under_one_second_deadline(
@@ -90,6 +100,14 @@ class TestGovernedExploration:
         assert result.stop_reason == REASON_DEADLINE
         assert result.state_count > 0
         assert () in result.traces  # partial set is still a behavior set
+
+    def test_plain_build_keeps_the_whole_pinned_deadline(self, divergent_program):
+        """Only a build followed by a trace salvage holds back a reserve:
+        a race scan's build runs to the deadline."""
+        budget = Budget(deadline_seconds=0.3).pinned()
+        explorer = Explorer(divergent_program, SemanticsConfig(budget=budget)).build()
+        assert explorer.stop_reason == REASON_DEADLINE
+        assert time.monotonic() - budget.started_at >= 0.3
 
     def test_memory_governed_exploration_stops(self, divergent_program):
         config = SemanticsConfig(
@@ -110,3 +128,17 @@ class TestGovernedExploration:
         )
         assert governed.exhaustive
         assert governed.traces == plain.traces
+
+    def test_state_cap_trip_still_salvages_the_partial_graph(self):
+        """The trace fixpoint adds no states, so a budget's state cap does
+        not stop the salvage: it yields what a config cap would."""
+        from repro.lang.builder import straightline_program
+        from repro.lang.syntax import Const, Print
+
+        program = straightline_program(
+            [[Print(Const(1)), Print(Const(2))], [Print(Const(3))]]
+        )
+        governed = behaviors(program, SemanticsConfig(budget=Budget(max_states=4)))
+        capped = behaviors(program, SemanticsConfig(max_states=4))
+        assert not governed.exhaustive and governed.stop_reason == REASON_STATES
+        assert governed.traces == capped.traces and (1,) in governed.traces

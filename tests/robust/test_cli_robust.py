@@ -38,6 +38,15 @@ DIVERGENT_CHANGED = DIVERGENT.replace(
     "entry:\n", "entry:\n    a := 2;\n    b := a * 3;\n    print(b);\n"
 )
 
+#: DIVERGENT beside a na-write pair only a constant-false branch keeps
+#: apart: the static ww tier leaves it open, so ``races`` explores.
+DIVERGENT_GUARDED = DIVERGENT.replace(
+    "threads spin;",
+    "fn t1 { entry: a.na := 1; return; }\n"
+    "fn t2 { entry: r := 0; be r, w, end; w: a.na := 2; return; end: return; }\n"
+    "threads spin, t1, t2;",
+)
+
 OPTIMIZABLE = """
 fn t1 {
 entry:
@@ -142,10 +151,18 @@ class TestCheckpointResume:
 
 
 class TestGovernedVerdicts:
-    def test_truncated_races_exit_bounded_with_warning(self, divergent_file, capsys):
-        code = main(["races", divergent_file, "--deadline", "0.3"])
+    def test_truncated_races_exit_bounded_with_warning(
+        self, divergent_file, tmp_path, capsys
+    ):
+        path = tmp_path / "guarded.rtl"
+        path.write_text(DIVERGENT_GUARDED)
+        code = main(["races", str(path), "--deadline", "0.3"])
         assert code == EXIT_BOUNDED
         assert "not proved" in capsys.readouterr().out
+        # DIVERGENT has no na-access: the static tiers prove it, 0 states.
+        assert main(["races", divergent_file, "--deadline", "0.3"]) == EXIT_PROVED
+        out = capsys.readouterr().out
+        assert "0 states" in out and "not proved" not in out
 
     def test_validate_degrades_instead_of_truncating(self, divergent_file, capsys):
         """A budget trip degrades the verdict to BOUNDED, answered from
@@ -172,6 +189,39 @@ class TestGovernedVerdicts:
         assert code == EXIT_BOUNDED
         assert "not a proof" in capsys.readouterr().out
         assert elapsed < 2 * deadline
+
+    def test_target_gets_a_share_of_the_clock(self, tmp_path, capsys):
+        """The source of a changed target takes at most half of the
+        deadline, so the target is explored too: its bounded trace set
+        is more than the empty trace."""
+        path = tmp_path / "changed.rtl"
+        path.write_text(DIVERGENT_CHANGED)
+        code = main(["validate", str(path), "--opt", "constprop",
+                     "--deadline", "1.0"])
+        assert code == EXIT_BOUNDED
+        out = capsys.readouterr().out
+        # "⊄": the target reached a trace the truncated source had not.
+        target, source = map(int, re.search(r"(\d+) [⊆⊄] (\d+) traces", out).groups())
+        assert target > 1 and source > 1
+
+    def test_validate_job_returns_within_its_pinned_budget(self):
+        """A validation job's builds, salvages and race scans all fit
+        inside its one pinned deadline, plus a small constant."""
+        from dataclasses import replace
+
+        from repro.jobs import job_config, run_job
+        from repro.robust.budget import Budget
+
+        deadline = 1.0
+        config = replace(
+            job_config("validate", DIVERGENT_CHANGED),
+            budget=Budget(deadline_seconds=deadline),
+        )
+        started = time.monotonic()
+        record = run_job("validate", DIVERGENT_CHANGED, {"opt": "constprop"}, config)
+        elapsed = time.monotonic() - started
+        assert record["ok"] and record["confidence"] == "BOUNDED"
+        assert elapsed < deadline + 0.3
 
     def test_validate_finite_program_is_proof(self, opt_file, capsys):
         code = main(

@@ -21,9 +21,7 @@ from repro.semantics import dpor
 from repro.semantics.dpor import (
     EMPTY_FP,
     FLAG_OUT,
-    FLAG_PRM,
     FLAG_SC,
-    TOP_FP,
     dependent,
     persistent_set,
 )
@@ -68,8 +66,6 @@ class TestDependency:
         sc = (frozenset(), frozenset(), FLAG_SC)
         assert dependent(out, out) and dependent(sc, sc)
         assert not dependent(out, sc)
-        assert dependent(TOP_FP, EMPTY_FP)  # FLAG_PRM beats everything
-        assert TOP_FP[2] & FLAG_PRM
         assert not dependent(EMPTY_FP, EMPTY_FP)
 
 
@@ -98,8 +94,6 @@ class TestPersistentSetClosure:
         futures = [self.future(0), self.future(self.Y)]
         assert persistent_set(fps, futures) == (1,)
         assert persistent_set(fps[:1] * 2, futures[:1] * 2) == (0, 1)
-        assert persistent_set([TOP_FP, EMPTY_FP], [self.future(0)] * 2) == (1,)
-        assert persistent_set([TOP_FP] * 2, [self.future(0)] * 2) == (0, 1)
 
 
 def _mentioned_locations(state) -> set:
@@ -378,24 +372,6 @@ class TestStatsAndGating:
         assert stats is not None and stats.nodes > 0
         assert stats.promise_footprints > 0
 
-    def test_conservative_mode_is_behavior_equal_and_not_smaller(self):
-        """``--por-conservative`` (all-dependent footprints) is the
-        soundness oracle: same traces, at least as many states as the
-        precise relation."""
-        config = SemanticsConfig(
-            promise_oracle=SyntacticPromises(budget=1, max_outstanding=1),
-            por="dpor",
-        )
-        precise = Explorer(sb(), config)
-        precise_set = precise.behaviors()
-        conservative = Explorer(
-            sb(), dataclasses.replace(config, por_conservative=True)
-        )
-        conservative_set = conservative.behaviors()
-        assert precise_set.traces == conservative_set.traces
-        assert conservative_set.state_count >= precise_set.state_count
-        assert conservative.dpor_stats.promise_footprints == 0
-
     def test_nonpreemptive_machine_ignores_dpor(self):
         """DPOR models the interleaving machine's switches; ``--np`` has
         its own (coarser) scheduling discipline."""
@@ -489,7 +465,7 @@ class TestPersistentSets:
             touched = 0
             for tid in chosen:
                 reads, writes, flags = index.thread_footprint(pool[tid])
-                assert not flags & (FLAG_OUT | FLAG_SC | FLAG_PRM)
+                assert not flags & (FLAG_OUT | FLAG_SC)
                 touched |= reads | writes
             for tid in set(live) - set(chosen):
                 ts = pool[tid]
@@ -867,9 +843,8 @@ class TestCheckpointResume:
 
 
 class TestNewlyEnabledCorpora:
-    """Promises, reservations and their mix run real DPOR; three-way
-    behavior-set equality {none, dpor, conservative dpor} is the oracle,
-    the conservative all-dependent mode checking the precise relation."""
+    """Promises, reservations and their mix run real DPOR; behavior-set
+    equality with ``por="none"`` is the oracle."""
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=300))
@@ -882,10 +857,7 @@ class TestNewlyEnabledCorpora:
         )
         plain = behaviors(program, base)
         reduced = behaviors(program, dataclasses.replace(base, por="dpor"))
-        conservative = behaviors(
-            program, dataclasses.replace(base, por="dpor", por_conservative=True)
-        )
-        assert plain.traces == reduced.traces == conservative.traces
+        assert plain.traces == reduced.traces
 
     # Reservation configs: a thread reserves only the slot right after a
     # location's latest message, so their explorations finish; the
@@ -985,7 +957,7 @@ class TestNewlyEnabledCorpora:
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=200))
-    def test_conservative_differential(self, seed):
+    def test_none_differential(self, seed):
         program = random_wwrf_program(
             seed, GeneratorConfig(threads=2, instrs_per_thread=3)
         )
@@ -994,9 +966,7 @@ class TestNewlyEnabledCorpora:
             por="dpor",
         )
         precise = behaviors(program, base)
-        oracle = behaviors(
-            program, dataclasses.replace(base, por_conservative=True)
-        )
+        oracle = behaviors(program, dataclasses.replace(base, por="none"))
         assert precise.traces == oracle.traces
 
 
@@ -1147,27 +1117,23 @@ PROMISING = SemanticsConfig(
 class TestPromiseScope:
     """DPOR offers promises only where they can certify and be read
     (module docs, "Promises only where they can matter"): the trace sets
-    stay those of ``por="none"`` with the full oracle, and of the
-    conservative differential."""
+    stay those of ``por="none"`` with the full oracle."""
 
     @staticmethod
-    def _three_way(source):
+    def _against_none(source):
         from repro.lang.parser import parse_program
 
         program = parse_program(source)
         plain = behaviors(program, PROMISING)
         explorer = Explorer(program, dataclasses.replace(PROMISING, por="dpor"))
         reduced = explorer.behaviors()
-        conservative = behaviors(
-            program, dataclasses.replace(PROMISING, por="dpor", por_conservative=True)
-        )
-        assert reduced.traces == plain.traces == conservative.traces
+        assert reduced.traces == plain.traces
         # The promise outcome is there: promises add behaviors.
         assert reduced.outputs() > behaviors(program).outputs()
         return program, explorer, reduced
 
     def test_fulfilling_store_in_a_helper(self):
-        program, explorer, reduced = self._three_way(HELPER_STORE)
+        program, explorer, reduced = self._against_none(HELPER_STORE)
         assert (1, 1) in reduced.outputs()
         index = dpor.FootprintIndex(program, explorer.config)
         entry = explorer.states[0].pool[0]
@@ -1181,13 +1147,13 @@ class TestPromiseScope:
         assert len(unchecked.states) == len(explorer.states)
 
     def test_fulfilling_store_in_a_pending_frame(self):
-        _, explorer, reduced = self._three_way(HELPER_LOAD)
+        _, explorer, reduced = self._against_none(HELPER_LOAD)
         assert (1, 1) in reduced.outputs()
         inside = [s.pool[0] for s in explorer.states if s.pool[0].local.func == "get"]
         assert inside and any(ts.has_promises for ts in inside)
 
     def test_store_before_a_spin_wait(self):
-        _, explorer, reduced = self._three_way(STORE_THEN_SPIN)
+        _, explorer, reduced = self._against_none(STORE_THEN_SPIN)
         assert (1, 1) in reduced.outputs()
         spinning = [
             s.pool[0] for s in explorer.states if s.pool[0].local.label == "spin"
@@ -1196,7 +1162,7 @@ class TestPromiseScope:
         assert spinning and all(ts.promise_budget == 0 for ts in spinning)
 
     def test_read_tail_drops_the_spent_budget(self):
-        _, explorer, _ = self._three_way(READ_TAIL)
+        _, explorer, _ = self._against_none(READ_TAIL)
         past_store = [
             s.pool[0]
             for s in explorer.states
@@ -1208,7 +1174,7 @@ class TestPromiseScope:
         assert len(explorer.states) == 419
 
     def test_late_reader_keeps_the_promise(self):
-        _, explorer, reduced = self._three_way(LB_LATE_READER)
+        _, explorer, reduced = self._against_none(LB_LATE_READER)
         assert (1, 1, 1) in reduced.outputs()
         assert explorer.dpor_stats.promises_withheld > 0
 

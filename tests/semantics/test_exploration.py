@@ -90,7 +90,7 @@ class TestBounds:
         program = straightline_program([[Print(Const(1))], [Print(Const(2))]])
         config = SemanticsConfig(max_states=3)
         with pytest.raises(ExplorationBoundExceeded):
-            behaviors(program, config, strict=True)
+            behaviors(program, config, raise_on_bound=True)
 
     def test_dropped_edges_counted_and_reported(self):
         program = straightline_program([[Print(Const(1))], [Print(Const(2))]])

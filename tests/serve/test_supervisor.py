@@ -66,6 +66,14 @@ loop:
 threads spin;
 """
 
+#: Two unsynchronized na-writes: the static ww tier cannot discharge
+#: them, so a races job explores.
+RACY = """
+fn t1 { entry: a.na := 1; return; }
+fn t2 { entry: a.na := 2; return; }
+threads t1, t2;
+"""
+
 FAST = SupervisorConfig(
     job_deadline_seconds=15.0,
     retry=RetryPolicy(max_attempts=3, base_delay_seconds=0.01),
@@ -126,7 +134,12 @@ class TestHappyPath:
         # dce leaves SB unchanged: one exploration serves both sides.
         supervisor.run_job(spec(kind="validate", source=SB, opt="dce"))
         # The ww and rw scans read one graph.
-        supervisor.run_job(spec(kind="races", source=SB))
+        supervisor.run_job(spec(kind="races", source=RACY))
+        assert supervisor.stats()["explorations"] == 2
+        # The static tiers discharge SB: a 0-state proof, no exploration.
+        result = supervisor.run_job(spec(kind="races", source=SB))
+        assert (result.ok, result.confidence) == (True, "PROVED")
+        assert "0 states" in result.detail
         assert supervisor.stats()["explorations"] == 2
 
     def test_parse_error_is_unanswered_not_a_crash(self):

@@ -25,7 +25,7 @@ from repro.opt.merge import Merge
 from repro.opt.unsound import NaiveDCE, RedundantWriteIntroduction, UnsoundWaWMerge
 from repro.races import check_races_tiered, rw_races, ww_rf
 from repro.robust.budget import Budget
-from repro.semantics.exploration import ExplorationSession, behaviors, np_behaviors
+from repro.semantics.exploration import ExplorationSession, behaviors
 from repro.semantics.thread import SemanticsConfig
 from repro.sim.refinement import check_equivalence, check_refinement
 from repro.sim.validate import validate_optimizer, validate_tiered
@@ -144,19 +144,6 @@ class TestValidation:
         # Two distinct programs: each scanned once, for ww, rw and behaviors.
         assert report.explorations == 2
 
-    def test_nonpreemptive_rw_census_shares_with_refinement(self):
-        program = racy()
-        report = validate_optimizer(
-            identity_optimizer(), program, DPOR, nonpreemptive=True, report_rw=True
-        )
-        assert report.target_rw is report.source_rw
-        # One interleaving scan (ww) and one non-preemptive scan (rw, then
-        # the non-preemptive behaviors).
-        assert report.explorations == 2
-        assert report.source_rw.downgrade == "nonpreemptive"
-        reference = np_behaviors(program, ORACLE).traces
-        assert report.refinement.source_behaviors.traces == reference
-
     def test_caller_supplied_target_skips_the_optimizer(self):
         class Counting(DCE):
             """DCE that counts its runs."""
@@ -224,7 +211,7 @@ def test_shared_validation_agrees_with_the_oracle(name):
 
 
 def test_ww_and_rw_scans_share_one_graph():
-    """``repro races`` without the static tier: one scan answers both."""
+    """One scan answers both race kinds, and the ladder agrees with it."""
     program = racy()
     session = ExplorationSession(DPOR)
     ww = ww_rf(program, session=session)
@@ -238,8 +225,9 @@ def test_ww_and_rw_scans_share_one_graph():
 
 @pytest.mark.parametrize("static_tier", [True, False])
 def test_each_graph_is_scanned_once(monkeypatch, static_tier):
-    """``repro races FILE`` without ``--static`` and a validation with the
-    rw census take both race kinds from one ``scan_races`` call per graph."""
+    """``repro races FILE`` on a program the static tiers leave open and
+    a validation with the rw census take both race kinds from one
+    ``scan_races`` call per graph."""
     from repro.jobs import _races
     from repro.races import wwrf
 
@@ -251,7 +239,7 @@ def test_each_graph_is_scanned_once(monkeypatch, static_tier):
         return real(program, explorer)
 
     monkeypatch.setattr(wwrf, "scan_races", counting)
-    record = _races(racy(), {"np": False, "static": False}, DPOR)
+    record = _races(racy(), {"np": False}, DPOR)
     assert not record["ok"] and record["explorations"] == 1
     assert len(scanned) == 1
 

@@ -2,8 +2,8 @@
 rw-race.
 
 Mirror of :mod:`tests.static.test_soundness` for the read-write rung of
-the three-tier ladder — a static ``RACE_FREE`` short-circuits the rw
-census in :func:`repro.races.rw_races_tiered`, so a counterexample here
+the race ladder — a static ``RACE_FREE`` short-circuits the rw census in
+:func:`repro.races.check_races_tiered`, so a counterexample here
 would make the ladder report a racy program race-free.  Two corpora:
 the default generator (reads may cross threads: many seeds are genuinely
 racy, exercising the detector's negative path too) and the

@@ -2,7 +2,7 @@
 
 This is the load-bearing property of the whole tiered design — a static
 ``RACE_FREE`` short-circuits exploration, so a single counterexample here
-would make :func:`repro.races.ww_rf_tiered` unsound.  The Hypothesis
+would make :func:`repro.races.check_races_tiered` unsound.  The Hypothesis
 property sweeps generator seeds (beyond the fixed 50-seed corpus the
 E-STATIC benchmark replays); the explicit cases document where the
 analysis is *rightly* inconclusive (path-insensitivity) without being

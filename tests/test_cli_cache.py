@@ -3,7 +3,7 @@
 A warm re-run prints what the cold run printed, exits the same way, and
 verifies nothing: every verdict comes from the store.  Any flag that
 changes the check or its semantics (``--no-wwrf``, ``--strict``,
-``--static``, ``--promises 1``) names different jobs, so it misses.
+``--np``, ``--promises 1``) names different jobs, so it misses.
 (``litmus --cache`` is covered through ``run_spec_file`` in
 ``tests/perf/test_cache.py``.)
 """
@@ -46,7 +46,7 @@ SWEEPS = {
         ["validate", "--opt", "dce"], [SB, OPTIMIZABLE],
         [["--no-wwrf"], ["--strict"], ["--promises", "1"]],
     ),
-    "races": (["races"], [SB, RACY], [["--static"], ["--promises", "1"]]),
+    "races": (["races"], [SB, RACY], [["--np"], ["--promises", "1"]]),
     "fuzz": (
         ["fuzz", "--opt", "dce", "--seeds", "0:3", "--instrs", "3"], [],
         [["--no-wwrf"]],

@@ -1,5 +1,6 @@
-"""CLI tests for the static-analysis surface: `analyze`, `races --static`,
-`validate --strict`, and the truncation-honest exit code 3."""
+"""CLI tests for the static-analysis surface: `analyze`, the static
+tiers of `races`, `validate --strict`, and the truncation-honest exit
+code 3."""
 
 import pytest
 
@@ -25,6 +26,23 @@ fn t2 {
   spin: r := flag.acq; be r, write, spin;
   write: a.na := 2; return;
 }
+threads t1, t2;
+"""
+
+#: Race-free only because the second write sits behind a constant-false
+#: branch: a value-dependent exclusion the static ww tier leaves open.
+GUARDED = """
+fn t1 { entry: a.na := 1; return; }
+fn t2 { entry: r := 0; be r, w, end; w: a.na := 2; return; end: return; }
+threads t1, t2;
+"""
+
+#: A na-read only a constant-false branch keeps from racing with the
+#: other thread's na-write: the static ww tier discharges the program (one
+#: na-writer), the static rw tier leaves it open.
+GUARDED_READ = """
+fn t1 { entry: a.na := 1; return; }
+fn t2 { entry: r := 0; be r, rd, end; rd: s := a.na; print(s); return; end: return; }
 threads t1, t2;
 """
 
@@ -81,29 +99,49 @@ def test_analyze_reports_potential_race(racy_file, capsys):
 
 
 def test_races_static_discharges(sb_file, capsys):
-    assert main(["races", "--static", sb_file]) == 0
+    assert main(["races", sb_file]) == 0
     out = capsys.readouterr().out
     assert "static" in out
     assert "0 states" in out  # no exploration happened
 
 
 def test_races_static_falls_back_on_racy(racy_file, capsys):
-    assert main(["races", "--static", racy_file]) == 1
+    assert main(["races", racy_file]) == 1
     out = capsys.readouterr().out
     assert "potential-race" in out
     assert "RACY" in out
 
 
 def test_races_static_flag_protocol(flag_file, capsys):
-    assert main(["races", "--static", flag_file]) == 0
+    assert main(["races", flag_file]) == 0
     out = capsys.readouterr().out
     assert "0 states" in out
 
 
-def test_truncated_run_exits_3(sb_file, capsys):
-    assert main(["races", "--max-states", "2", sb_file]) == 3
+def test_truncated_run_exits_3(sb_file, tmp_path, capsys):
+    guarded = tmp_path / "guarded.rtl"
+    guarded.write_text(GUARDED)
+    assert main(["races", "--max-states", "2", str(guarded)]) == 3
     out = capsys.readouterr().out
+    assert "potential-race" in out  # the static tier left it open
     assert "TRUNCATED" in out
+    # The static tiers discharge SB: a proof with 0 states, cap or not.
+    assert main(["races", "--max-states", "2", sb_file]) == 0
+    out = capsys.readouterr().out
+    assert "0 states" in out and "TRUNCATED" not in out
+
+
+def test_truncated_rw_scan_bounds_the_races_verdict(tmp_path, capsys):
+    """A statically proved ww verdict does not make a truncated rw census
+    a proof: the job is BOUNDED, exits 3 and warns."""
+    path = tmp_path / "guarded_read.rtl"
+    path.write_text(GUARDED_READ)
+    assert main(["races", "--max-states", "2", str(path)]) == 3
+    out = capsys.readouterr().out
+    assert "ww-RF: RaceReport(race-free, 0 states, static)" in out
+    assert "read-write races: none" in out and "TRUNCATED" in out
+    assert main(["races", str(path)]) == 0
+    assert "TRUNCATED" not in capsys.readouterr().out
 
 
 def test_truncated_validate_exits_3(sb_file, capsys):
